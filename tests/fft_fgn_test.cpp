@@ -3,8 +3,12 @@
 // variance decay) and the synthetic NLANR-substitute trace.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <complex>
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 
 #include "stats/fft.hpp"
 #include "stats/fgn.hpp"
@@ -15,6 +19,36 @@
 namespace {
 
 using namespace abw::stats;
+
+/// FNV-1a over 64-bit words; doubles contribute their exact bit pattern.
+struct Digest {
+  std::uint64_t h = 1469598103934665603ull;
+  void u64(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xff;
+      h *= 1099511628211ull;
+    }
+  }
+  void f64(double d) { u64(std::bit_cast<std::uint64_t>(d)); }
+  void cplx(const std::vector<std::complex<double>>& x) {
+    for (const auto& v : x) {
+      f64(v.real());
+      f64(v.imag());
+    }
+  }
+};
+
+// Regenerate (only for an intentional change of the synthesized stream):
+//   ABW_GOLDEN_PRINT=1 ./fft_fgn_test
+void check_golden(const char* name, std::uint64_t got, std::uint64_t want) {
+  if (std::getenv("ABW_GOLDEN_PRINT") != nullptr) {
+    std::printf("constexpr std::uint64_t kGolden%s = 0x%016llxull;\n", name,
+                static_cast<unsigned long long>(got));
+    return;
+  }
+  EXPECT_EQ(got, want) << name << " digest changed: the output is no longer "
+                       << "bit-identical to the pinned reference";
+}
 
 // ---------------------------------------------------------------- FFT ---
 
@@ -64,6 +98,28 @@ TEST(Fft, ParsevalHolds) {
 TEST(Fft, RejectsNonPowerOfTwo) {
   std::vector<std::complex<double>> x(6);
   EXPECT_THROW(fft(x), std::invalid_argument);
+}
+
+// Digest of fft and ifft over every power-of-two size 1..2^16 (seeded
+// complex input; the ifft runs on the fft's output).
+std::uint64_t fft_digest() {
+  Digest d;
+  for (std::size_t n = 1; n <= (1u << 16); n <<= 1) {
+    Rng r(n);
+    std::vector<std::complex<double>> x(n);
+    for (auto& v : x) v = {r.normal(), r.normal()};
+    fft(x);
+    d.cplx(x);
+    ifft(x);
+    d.cplx(x);
+  }
+  return d.h;
+}
+
+constexpr std::uint64_t kGoldenFft = 0x2595b6cae5bb2398ull;
+
+TEST(Fft, BitIdenticalToPinnedDigest) {
+  check_golden("Fft", fft_digest(), kGoldenFft);
 }
 
 TEST(Fft, NextPow2) {
@@ -128,6 +184,32 @@ TEST(Fgn, RejectsBadParameters) {
   EXPECT_THROW(generate_fgn(0, 0.8, r), std::invalid_argument);
   EXPECT_THROW(generate_fgn(64, 0.0, r), std::invalid_argument);
   EXPECT_THROW(generate_fgn(64, 1.0, r), std::invalid_argument);
+}
+
+// Digest of generate_fgn over a grid of sizes (including non-powers of
+// two, n = 1 and the 2^17 series FgnRateGenerator draws), Hurst values and
+// seeds.  The generator's next draw after each call is folded in, so the
+// number and order of RNG draws are pinned along with the output bits.
+std::uint64_t fgn_digest() {
+  Digest d;
+  for (std::size_t n : {std::size_t{1}, std::size_t{3}, std::size_t{64},
+                        std::size_t{1000}, std::size_t{(1u << 14) + 5},
+                        std::size_t{1u << 17}}) {
+    for (double hurst : {0.3, 0.5, 0.8, 0.9}) {
+      for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+        Rng r(seed);
+        for (double v : generate_fgn(n, hurst, r)) d.f64(v);
+        d.u64(r.engine()());
+      }
+    }
+  }
+  return d.h;
+}
+
+constexpr std::uint64_t kGoldenFgn = 0xc59a32254b85c12aull;
+
+TEST(Fgn, BitIdenticalToPinnedDigest) {
+  check_golden("Fgn", fgn_digest(), kGoldenFgn);
 }
 
 // The paper's Eq. (5): Var[A_tau aggregated by k] = Var[A_tau] / k^{2(1-H)}.

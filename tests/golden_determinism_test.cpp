@@ -197,6 +197,9 @@ std::uint64_t run_partitioned(std::size_t threads) {
 constexpr std::uint64_t kGoldenCbr = 0x7b3a580e3bfe9d56ull;
 constexpr std::uint64_t kGoldenPoisson = 0xcb0a09e09da11eccull;
 constexpr std::uint64_t kGoldenParetoOnOff = 0x4c25048f590c8407ull;
+// Captured before the fGn synthesizer shared its circulant spectrum
+// across calls; pins the self-similar cross model end to end.
+constexpr std::uint64_t kGoldenFgn = 0xbd3c83949ca2410cull;
 constexpr std::uint64_t kGoldenMultiHop = 0x192d95669f8bae90ull;
 constexpr std::uint64_t kGoldenParetoGaps = 0x21ae52ecde362251ull;
 // Captured from the serial-equivalent (threads=1) partitioned engine at
@@ -226,6 +229,10 @@ TEST(GoldenDeterminism, SingleHopPoisson) {
 TEST(GoldenDeterminism, SingleHopParetoOnOff) {
   check("ParetoOnOff", run_single_hop(core::CrossModel::kParetoOnOff),
         kGoldenParetoOnOff);
+}
+
+TEST(GoldenDeterminism, SingleHopFgn) {
+  check("Fgn", run_single_hop(core::CrossModel::kFgn), kGoldenFgn);
 }
 
 TEST(GoldenDeterminism, MultiHopPoisson) {

@@ -23,17 +23,39 @@ void transform(std::vector<std::complex<double>>& a, int sign) {
     if (i < j) std::swap(a[i], a[j]);
   }
 
+  // Each stage's twiddles come from the w *= wlen recurrence, built once
+  // per stage into a table rather than once per butterfly group; every
+  // group used to rerun the same recurrence, so the values are unchanged.
+  // std::complex is layout-compatible with double[2], so the butterfly
+  // works on the interleaved doubles in explicit real arithmetic: the same
+  // a*c - b*d / a*d + b*c that operator* computes for finite operands,
+  // without its Annex G infinity-recovery branch, which keeps the loop
+  // from vectorizing.  Outputs are bit-identical for finite inputs.
+  std::vector<double> tw_re(n / 2), tw_im(n / 2);
+  double* d = reinterpret_cast<double*>(a.data());
   for (std::size_t len = 2; len <= n; len <<= 1) {
+    std::size_t half = len / 2;
     double ang = sign * 2.0 * std::numbers::pi / static_cast<double>(len);
     std::complex<double> wlen(std::cos(ang), std::sin(ang));
+    std::complex<double> w(1.0, 0.0);
+    for (std::size_t k = 0; k < half; ++k) {
+      tw_re[k] = w.real();
+      tw_im[k] = w.imag();
+      w *= wlen;
+    }
     for (std::size_t i = 0; i < n; i += len) {
-      std::complex<double> w(1.0, 0.0);
-      for (std::size_t k = 0; k < len / 2; ++k) {
-        std::complex<double> u = a[i + k];
-        std::complex<double> v = a[i + k + len / 2] * w;
-        a[i + k] = u + v;
-        a[i + k + len / 2] = u - v;
-        w *= wlen;
+      double* lo = d + 2 * i;
+      double* hi = d + 2 * (i + half);
+      for (std::size_t k = 0; k < half; ++k) {
+        double c = tw_re[k], s = tw_im[k];
+        double hr = hi[2 * k], hm = hi[2 * k + 1];
+        double vr = hr * c - hm * s;
+        double vi = hr * s + hm * c;
+        double ur = lo[2 * k], ui = lo[2 * k + 1];
+        lo[2 * k] = ur + vr;
+        lo[2 * k + 1] = ui + vi;
+        hi[2 * k] = ur - vr;
+        hi[2 * k + 1] = ui - vi;
       }
     }
   }

@@ -2,11 +2,99 @@
 
 #include <cmath>
 #include <complex>
+#include <memory>
+#include <mutex>
 #include <stdexcept>
 
 #include "stats/fft.hpp"
 
 namespace abw::stats {
+
+namespace {
+
+// Per-frequency scale factors of the Davies-Harte synthesis for one
+// (half = next_pow2(n), hurst): sqrt(lambda_j) at j = 0 and j = half,
+// sqrt(lambda_j / 2) in between, where lambda_j are the eigenvalues of the
+// circulant embedding of the fGn autocovariance.  None of it depends on
+// the RNG, so it is computed once and shared.
+using Spectrum = std::shared_ptr<const std::vector<double>>;
+
+Spectrum compute_spectrum(std::size_t half, double hurst) {
+  // Embed the covariance into a circulant of size m = 2 * half.
+  std::size_t m = 2 * half;
+  std::vector<std::complex<double>> c(m);
+  for (std::size_t k = 0; k <= half; ++k) c[k] = fgn_autocovariance(hurst, k);
+  for (std::size_t k = half + 1; k < m; ++k) c[k] = c[m - k];
+
+  fft(c);  // eigenvalues of the circulant (real, non-negative for fGn)
+
+  auto scale = std::make_shared<std::vector<double>>(half + 1);
+  for (std::size_t j = 0; j <= half; ++j) {
+    double lambda = c[j].real();
+    if (lambda < 0.0) {
+      // Theoretically impossible for fGn; clamp tiny negative round-off.
+      if (lambda < -1e-9) throw std::runtime_error("generate_fgn: negative eigenvalue");
+      lambda = 0.0;
+    }
+    (*scale)[j] = (j == 0 || j == half) ? std::sqrt(lambda) : std::sqrt(lambda / 2.0);
+  }
+  return scale;
+}
+
+// Process-wide, least-recently-used cache of spectra, bounded by the
+// doubles it holds (8 MiB: seven spectra for the 2^17-sample series
+// FgnRateGenerator draws, ~1 MiB each).  A spectrum larger than the whole budget is
+// computed per call and not kept.  Entries are immutable and handed out
+// as shared_ptr, so eviction never pulls one from under a running call.
+// Computing happens outside the lock: two threads missing on the same key
+// both compute it, and since the spectrum is a pure function of the key
+// either result is the same.
+class SpectrumCache {
+ public:
+  Spectrum get(std::size_t half, double hurst) {
+    {
+      std::lock_guard lock(mu_);
+      for (std::size_t i = 0; i < entries_.size(); ++i) {
+        if (entries_[i].half == half && entries_[i].hurst == hurst) {
+          Entry hit = entries_[i];
+          entries_.erase(entries_.begin() + static_cast<std::ptrdiff_t>(i));
+          entries_.push_back(hit);  // most recently used last
+          return hit.scale;
+        }
+      }
+    }
+    Spectrum scale = compute_spectrum(half, hurst);  // throws: nothing cached
+    if (scale->size() > kMaxDoubles) return scale;
+    std::lock_guard lock(mu_);
+    for (const Entry& e : entries_)
+      if (e.half == half && e.hurst == hurst) return e.scale;
+    held_ += scale->size();
+    entries_.push_back({half, hurst, scale});
+    while (held_ > kMaxDoubles) {
+      held_ -= entries_.front().scale->size();
+      entries_.erase(entries_.begin());
+    }
+    return scale;
+  }
+
+ private:
+  static constexpr std::size_t kMaxDoubles = std::size_t{1} << 20;
+  struct Entry {
+    std::size_t half;
+    double hurst;
+    Spectrum scale;
+  };
+  std::mutex mu_;
+  std::vector<Entry> entries_;
+  std::size_t held_ = 0;
+};
+
+SpectrumCache& spectrum_cache() {
+  static SpectrumCache cache;
+  return cache;
+}
+
+}  // namespace
 
 double fgn_autocovariance(double hurst, std::size_t lag) {
   double k = static_cast<double>(lag);
@@ -17,40 +105,34 @@ double fgn_autocovariance(double hurst, std::size_t lag) {
 
 std::vector<double> generate_fgn(std::size_t n, double hurst, Rng& rng) {
   if (n == 0) throw std::invalid_argument("generate_fgn: n must be > 0");
-  if (hurst <= 0.0 || hurst >= 1.0)
+  if (!(hurst > 0.0 && hurst < 1.0))  // also rejects NaN
     throw std::invalid_argument("generate_fgn: hurst must be in (0,1)");
 
-  // Embed the covariance into a circulant of size m = 2 * next_pow2(n).
   std::size_t half = next_pow2(n);
   std::size_t m = 2 * half;
+  Spectrum spectrum = spectrum_cache().get(half, hurst);
+  const std::vector<double>& scale = *spectrum;
 
-  std::vector<std::complex<double>> c(m);
-  for (std::size_t k = 0; k <= half; ++k) c[k] = fgn_autocovariance(hurst, k);
-  for (std::size_t k = half + 1; k < m; ++k) c[k] = c[m - k];
-
-  fft(c);  // eigenvalues of the circulant (real, non-negative for fGn)
-
+  // Random Hermitian-symmetric spectrum.  The draw order (ascending j;
+  // imaginary part before real part, the order GCC evaluated the former
+  // complex(s * normal(), s * normal()) arguments in) defines the stream
+  // every seeded experiment reproduces.
   std::vector<std::complex<double>> v(m);
-  double msz = static_cast<double>(m);
   for (std::size_t j = 0; j <= half; ++j) {
-    double lambda = c[j].real();
-    if (lambda < 0.0) {
-      // Theoretically impossible for fGn; clamp tiny negative round-off.
-      if (lambda < -1e-9) throw std::runtime_error("generate_fgn: negative eigenvalue");
-      lambda = 0.0;
-    }
+    double s = scale[j];
     if (j == 0 || j == half) {
-      v[j] = std::sqrt(lambda) * rng.normal();
+      v[j] = s * rng.normal();
     } else {
-      double s = std::sqrt(lambda / 2.0);
-      v[j] = std::complex<double>(s * rng.normal(), s * rng.normal());
+      double im = s * rng.normal();
+      double re = s * rng.normal();
+      v[j] = std::complex<double>(re, im);
       v[m - j] = std::conj(v[j]);
     }
   }
 
   fft(v);
   std::vector<double> out(n);
-  double norm = 1.0 / std::sqrt(msz);
+  double norm = 1.0 / std::sqrt(static_cast<double>(m));
   for (std::size_t i = 0; i < n; ++i) out[i] = v[i].real() * norm;
   return out;
 }

@@ -17,10 +17,19 @@ namespace abw::stats {
 
 /// Generates n samples of zero-mean, unit-variance fractional Gaussian
 /// noise with Hurst parameter hurst in (0, 1).  Uses Davies-Harte exact
-/// circulant embedding (O(n log n)); falls back to cumulative-sum fBm
-/// differencing only if an eigenvalue is (numerically) negative, which for
-/// fGn covariance does not occur.
-/// Throws std::invalid_argument for hurst outside (0, 1) or n == 0.
+/// circulant embedding (O(n log n)).
+///
+/// The circulant's spectrum depends only on (next_pow2(n), hurst), so it
+/// is computed once and kept in a process-wide cache: bounded (least
+/// recently used entries go first), thread-safe, and invisible in the
+/// output, which is bit-identical whether the spectrum was cached or not.
+/// Each call then draws 2 * next_pow2(n) normals from rng and runs one
+/// FFT of size 2 * next_pow2(n).
+///
+/// Throws std::invalid_argument for n == 0 or hurst outside (0, 1)
+/// (NaN included), and std::runtime_error if the embedding has a
+/// negative eigenvalue beyond round-off, which for fGn covariance does
+/// not occur; either way rng is left untouched and nothing is cached.
 std::vector<double> generate_fgn(std::size_t n, double hurst, Rng& rng);
 
 /// Theoretical autocovariance of unit-variance fGn at lag k:

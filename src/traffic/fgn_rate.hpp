@@ -24,8 +24,11 @@ struct FgnRateConfig {
 
 /// Emits Poisson arrivals whose intensity is re-drawn every `window` from
 /// a precomputed fGn series (clamped at >= 1% of the mean so the rate
-/// stays positive).  The fGn series is generated for the whole active
-/// window at start().
+/// stays positive).  The series (2^17 windows, then it repeats) is
+/// generated lazily at the first arrival, from the generator's own RNG.
+/// The constructor throws std::invalid_argument for a non-finite or
+/// non-positive mean rate, a non-finite or negative rel_std, a
+/// non-positive window, or hurst outside (0, 1).
 class FgnRateGenerator final : public Generator {
  public:
   FgnRateGenerator(sim::Simulator& sim, sim::Path& path, std::size_t entry_hop,

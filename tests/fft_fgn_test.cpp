@@ -3,18 +3,21 @@
 // variance decay) and the synthetic NLANR-substitute trace.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <complex>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 
 #include "stats/fft.hpp"
 #include "stats/fgn.hpp"
 #include "stats/hurst.hpp"
 #include "stats/moments.hpp"
 #include "stats/rng.hpp"
+#include "runner/batch.hpp"
 
 namespace {
 
@@ -184,6 +187,13 @@ TEST(Fgn, RejectsBadParameters) {
   EXPECT_THROW(generate_fgn(0, 0.8, r), std::invalid_argument);
   EXPECT_THROW(generate_fgn(64, 0.0, r), std::invalid_argument);
   EXPECT_THROW(generate_fgn(64, 1.0, r), std::invalid_argument);
+  EXPECT_THROW(generate_fgn(64, -0.5, r), std::invalid_argument);
+  EXPECT_THROW(generate_fgn(64, std::numeric_limits<double>::quiet_NaN(), r),
+               std::invalid_argument);
+  EXPECT_THROW(generate_fgn(64, std::numeric_limits<double>::infinity(), r),
+               std::invalid_argument);
+  EXPECT_THROW(generate_fgn(64, -std::numeric_limits<double>::infinity(), r),
+               std::invalid_argument);
 }
 
 // Digest of generate_fgn over a grid of sizes (including non-powers of
@@ -210,6 +220,66 @@ constexpr std::uint64_t kGoldenFgn = 0xc59a32254b85c12aull;
 
 TEST(Fgn, BitIdenticalToPinnedDigest) {
   check_golden("Fgn", fgn_digest(), kGoldenFgn);
+}
+
+// The circulant spectrum is cached process-wide.  These tests use (n, H)
+// keys no other test in this binary touches, so their first calls are
+// cold.
+
+TEST(FgnSharedSpectrum, ParallelCallsMatchSerial) {
+  // Mixed keys from four threads, several tasks per key, all cold at the
+  // start: concurrent misses race to fill the cache.
+  struct Task {
+    std::size_t n;
+    double hurst;
+    std::uint64_t seed;
+  };
+  std::vector<Task> tasks;
+  for (std::uint64_t seed = 1; seed <= 4; ++seed)
+    for (std::size_t n : {std::size_t{700}, std::size_t{5000}, std::size_t{40000}})
+      for (double hurst : {0.41, 0.67, 0.83}) tasks.push_back({n, hurst, seed});
+  auto run = [&](std::size_t i) {
+    Rng r(tasks[i].seed);
+    auto x = generate_fgn(tasks[i].n, tasks[i].hurst, r);
+    x.push_back(static_cast<double>(r.engine()()));
+    return x;
+  };
+  abw::runner::BatchRunner parallel(4);
+  auto got = parallel.map(tasks.size(), run);
+  for (std::size_t i = 0; i < tasks.size(); ++i)
+    EXPECT_EQ(got[i], run(i)) << "task " << i;
+}
+
+TEST(FgnSharedSpectrum, ColdAndWarmCallsAreIdentical) {
+  Rng cold_rng(21), warm_rng(21);
+  auto cold = generate_fgn(3000, 0.77, cold_rng);
+  auto warm = generate_fgn(3000, 0.77, warm_rng);
+  EXPECT_EQ(cold, warm);
+  EXPECT_EQ(cold_rng.engine()(), warm_rng.engine()());
+  // Same spectrum (next_pow2(2500) == next_pow2(3000)), shorter output.
+  Rng prefix_rng(21);
+  auto prefix = generate_fgn(2500, 0.77, prefix_rng);
+  EXPECT_TRUE(std::equal(prefix.begin(), prefix.end(), cold.begin()));
+}
+
+TEST(FgnSharedSpectrum, ThrowingCallLeavesCacheAndRngUsable) {
+  Rng ref_rng(5);
+  auto ref = generate_fgn(500, 0.71, ref_rng);
+  Rng r(5);
+  EXPECT_THROW(generate_fgn(500, std::numeric_limits<double>::quiet_NaN(), r),
+               std::invalid_argument);
+  EXPECT_THROW(generate_fgn(0, 0.71, r), std::invalid_argument);
+  EXPECT_EQ(generate_fgn(500, 0.71, r), ref);  // no draws spent on the throws
+}
+
+TEST(FgnSharedSpectrum, EvictedSpectrumIsRecomputedIdentically) {
+  // Two 2^19-sample spectra hold more than the cache keeps, so the second
+  // evicts the first and the repeat call recomputes it.
+  constexpr std::size_t n = std::size_t{1} << 19;
+  Rng r1(31), r2(32), r3(31);
+  auto first = generate_fgn(n, 0.61, r1);
+  generate_fgn(n, 0.62, r2);
+  EXPECT_EQ(generate_fgn(n, 0.61, r3), first);
 }
 
 // The paper's Eq. (5): Var[A_tau aggregated by k] = Var[A_tau] / k^{2(1-H)}.

@@ -3,6 +3,8 @@
 // burstiness and the aggregate's self-similarity emerge as designed.
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "sim/path.hpp"
 #include "sim/simulator.hpp"
 #include "stats/hurst.hpp"
@@ -282,11 +284,24 @@ TEST(FgnRate, ProducesTargetHurst) {
 
 TEST(FgnRate, RejectsBadConfig) {
   Fixture f;
-  traffic::FgnRateConfig bad;
-  bad.hurst = 1.5;
-  EXPECT_THROW(
-      traffic::FgnRateGenerator(f.simu, f.path, 0, false, 1, stats::Rng(1), bad),
-      std::invalid_argument);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  auto rejects = [&](auto mutate) {
+    traffic::FgnRateConfig bad;
+    mutate(bad);
+    EXPECT_THROW(
+        traffic::FgnRateGenerator(f.simu, f.path, 0, false, 1, stats::Rng(1), bad),
+        std::invalid_argument);
+  };
+  rejects([](auto& c) { c.hurst = 1.5; });
+  rejects([&](auto& c) { c.hurst = nan; });
+  rejects([&](auto& c) { c.mean_rate_bps = nan; });
+  rejects([&](auto& c) { c.mean_rate_bps = inf; });
+  rejects([](auto& c) { c.mean_rate_bps = 0.0; });
+  rejects([&](auto& c) { c.rel_std = nan; });
+  rejects([&](auto& c) { c.rel_std = inf; });
+  rejects([](auto& c) { c.rel_std = -0.1; });
+  rejects([](auto& c) { c.window = 0; });
 }
 
 // --------------------------------------------------------- trace replay ---

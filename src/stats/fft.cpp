@@ -23,14 +23,13 @@ void transform(std::vector<std::complex<double>>& a, int sign) {
     if (i < j) std::swap(a[i], a[j]);
   }
 
-  // Each stage's twiddles come from the w *= wlen recurrence, built once
-  // per stage into a table rather than once per butterfly group; every
-  // group used to rerun the same recurrence, so the values are unchanged.
-  // std::complex is layout-compatible with double[2], so the butterfly
-  // works on the interleaved doubles in explicit real arithmetic: the same
-  // a*c - b*d / a*d + b*c that operator* computes for finite operands,
-  // without its Annex G infinity-recovery branch, which keeps the loop
-  // from vectorizing.  Outputs are bit-identical for finite inputs.
+  // Every butterfly group of a stage uses the same twiddles, so each
+  // stage tabulates them once, by the w *= wlen recurrence whose rounding
+  // the pinned digests encode.  The butterfly works on the interleaved
+  // doubles ([complex.numbers] allows the array access) in explicit real
+  // arithmetic: the a*c - b*d / a*d + b*c that operator* computes for
+  // finite operands, without its Annex G infinity-recovery branch, which
+  // blocks vectorization.  Outputs are bit-identical for finite inputs.
   std::vector<double> tw_re(n / 2), tw_im(n / 2);
   double* d = reinterpret_cast<double*>(a.data());
   for (std::size_t len = 2; len <= n; len <<= 1) {

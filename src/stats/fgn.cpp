@@ -10,6 +10,13 @@
 
 namespace abw::stats {
 
+double fgn_autocovariance(double hurst, std::size_t lag) {
+  double k = static_cast<double>(lag);
+  double h2 = 2.0 * hurst;
+  return 0.5 * (std::pow(k + 1.0, h2) - 2.0 * std::pow(k, h2) +
+                std::pow(std::abs(k - 1.0), h2));
+}
+
 namespace {
 
 // Per-frequency scale factors of the Davies-Harte synthesis for one
@@ -41,33 +48,25 @@ Spectrum compute_spectrum(std::size_t half, double hurst) {
   return scale;
 }
 
-// Process-wide, least-recently-used cache of spectra, bounded by the
-// doubles it holds (8 MiB: seven spectra for the 2^17-sample series
-// FgnRateGenerator draws, ~1 MiB each).  A spectrum larger than the whole budget is
-// computed per call and not kept.  Entries are immutable and handed out
-// as shared_ptr, so eviction never pulls one from under a running call.
-// Computing happens outside the lock: two threads missing on the same key
-// both compute it, and since the spectrum is a pure function of the key
-// either result is the same.
+// Process-wide cache of spectra, bounded by the doubles it holds (8 MiB:
+// seven spectra for the 2^17-sample series FgnRateGenerator draws, ~1 MiB
+// each); the oldest entries go first.  A spectrum larger than the whole
+// budget is computed per call and not kept.  Entries are immutable and
+// handed out as shared_ptr, so eviction never pulls one from under a
+// running call.  Computing happens outside the lock: two threads missing
+// on the same key both compute it, and since the spectrum is a pure
+// function of the key either result is the same.
 class SpectrumCache {
  public:
   Spectrum get(std::size_t half, double hurst) {
     {
       std::lock_guard lock(mu_);
-      for (std::size_t i = 0; i < entries_.size(); ++i) {
-        if (entries_[i].half == half && entries_[i].hurst == hurst) {
-          Entry hit = entries_[i];
-          entries_.erase(entries_.begin() + static_cast<std::ptrdiff_t>(i));
-          entries_.push_back(hit);  // most recently used last
-          return hit.scale;
-        }
-      }
+      if (Spectrum hit = find(half, hurst)) return hit;
     }
     Spectrum scale = compute_spectrum(half, hurst);  // throws: nothing cached
     if (scale->size() > kMaxDoubles) return scale;
     std::lock_guard lock(mu_);
-    for (const Entry& e : entries_)
-      if (e.half == half && e.hurst == hurst) return e.scale;
+    if (Spectrum hit = find(half, hurst)) return hit;  // filled meanwhile
     held_ += scale->size();
     entries_.push_back({half, hurst, scale});
     while (held_ > kMaxDoubles) {
@@ -84,9 +83,17 @@ class SpectrumCache {
     double hurst;
     Spectrum scale;
   };
+
+  // Caller holds mu_.
+  Spectrum find(std::size_t half, double hurst) const {
+    for (const Entry& e : entries_)
+      if (e.half == half && e.hurst == hurst) return e.scale;
+    return nullptr;
+  }
+
   std::mutex mu_;
-  std::vector<Entry> entries_;
-  std::size_t held_ = 0;
+  std::vector<Entry> entries_;  // oldest first; guarded by mu_
+  std::size_t held_ = 0;        // doubles held by entries_; guarded by mu_
 };
 
 SpectrumCache& spectrum_cache() {
@@ -95,13 +102,6 @@ SpectrumCache& spectrum_cache() {
 }
 
 }  // namespace
-
-double fgn_autocovariance(double hurst, std::size_t lag) {
-  double k = static_cast<double>(lag);
-  double h2 = 2.0 * hurst;
-  return 0.5 * (std::pow(k + 1.0, h2) - 2.0 * std::pow(k, h2) +
-                std::pow(std::abs(k - 1.0), h2));
-}
 
 std::vector<double> generate_fgn(std::size_t n, double hurst, Rng& rng) {
   if (n == 0) throw std::invalid_argument("generate_fgn: n must be > 0");
@@ -113,10 +113,9 @@ std::vector<double> generate_fgn(std::size_t n, double hurst, Rng& rng) {
   Spectrum spectrum = spectrum_cache().get(half, hurst);
   const std::vector<double>& scale = *spectrum;
 
-  // Random Hermitian-symmetric spectrum.  The draw order (ascending j;
-  // imaginary part before real part, the order GCC evaluated the former
-  // complex(s * normal(), s * normal()) arguments in) defines the stream
-  // every seeded experiment reproduces.
+  // Random Hermitian-symmetric spectrum.  The draw order (ascending j,
+  // imaginary part before real part) defines the stream every seeded
+  // experiment reproduces; the golden digests pin it.
   std::vector<std::complex<double>> v(m);
   for (std::size_t j = 0; j <= half; ++j) {
     double s = scale[j];

@@ -20,9 +20,9 @@ namespace abw::stats {
 /// circulant embedding (O(n log n)).
 ///
 /// The circulant's spectrum depends only on (next_pow2(n), hurst), so it
-/// is computed once and kept in a process-wide cache: bounded (least
-/// recently used entries go first), thread-safe, and invisible in the
-/// output, which is bit-identical whether the spectrum was cached or not.
+/// is computed once and kept in a process-wide cache: bounded (oldest
+/// entries go first), thread-safe, and invisible in the output, which is
+/// bit-identical whether the spectrum was cached or not.
 /// Each call then draws 2 * next_pow2(n) normals from rng and runs one
 /// FFT of size 2 * next_pow2(n).
 ///

@@ -9,16 +9,20 @@
 // per-session probe budgets and deadlines are whatever each client
 // advertised in its hello (enforced server-side).
 //
-// Flags:
+// Flags (a malformed value prints the usage and exits 2):
 //   --port=N           UDP port (default 9877; 0 = ephemeral, printed)
 //   --bind=ADDR        bind address          (default 127.0.0.1)
 //   --max-sessions=N   admission cap         (default 64)
 //   --idle-timeout=S   session GC, seconds   (default 30)
 //   --trace=FILE       JSONL session-event trace (obs/)
+//   --help             print the usage and exit
+#include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <memory>
+#include <stdexcept>
 #include <string>
 
 #include <unistd.h>
@@ -33,6 +37,44 @@ namespace {
 volatile std::sig_atomic_t g_stop = 0;
 void on_signal(int) { g_stop = 1; }
 
+void usage(std::FILE* out) {
+  std::fprintf(out,
+               "usage: abwd [--port=N] [--bind=ADDR] [--max-sessions=N] "
+               "[--idle-timeout=S] [--trace=FILE]\n");
+}
+
+// The whole of `v` as an integer in [0, max]; throws std::invalid_argument
+// naming `flag` otherwise (stoul alone accepts "12abc" and wraps "-1").
+unsigned long long parse_uint(const char* flag, const std::string& v,
+                              unsigned long long max) {
+  std::size_t used = 0;
+  unsigned long long n = 0;
+  try {
+    if (!v.empty() && v[0] >= '0' && v[0] <= '9') n = std::stoull(v, &used);
+  } catch (const std::exception&) {
+    used = 0;  // out of range
+  }
+  if (used == 0 || used != v.size() || n > max)
+    throw std::invalid_argument(std::string(flag) + ": expected an integer in [0, " +
+                                std::to_string(max) + "], got '" + v + "'");
+  return n;
+}
+
+// The whole of `v` as a finite number of seconds in [0, 1e9].
+double parse_seconds(const char* flag, const std::string& v) {
+  std::size_t used = 0;
+  double x = -1.0;
+  try {
+    x = std::stod(v, &used);
+  } catch (const std::exception&) {
+    used = 0;
+  }
+  if (used == 0 || used != v.size() || !std::isfinite(x) || x < 0.0 || x > 1e9)
+    throw std::invalid_argument(std::string(flag) +
+                                ": expected seconds in [0, 1e9], got '" + v + "'");
+  return x;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -42,6 +84,10 @@ int main(int argc, char** argv) {
 
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
+    if (arg == "--help" || arg == "-h") {
+      usage(stdout);
+      return 0;
+    }
     auto eat = [&](const char* key, std::string& out) {
       std::string prefix = std::string(key) + "=";
       if (arg.rfind(prefix, 0) == 0) {
@@ -51,14 +97,21 @@ int main(int argc, char** argv) {
       return false;
     };
     std::string v;
-    if (eat("--port", v)) cfg.port = static_cast<std::uint16_t>(std::stoul(v));
-    else if (eat("--bind", v)) cfg.bind_host = v;
-    else if (eat("--max-sessions", v)) cfg.max_sessions = std::stoul(v);
-    else if (eat("--idle-timeout", v))
-      cfg.idle_timeout = sim::from_seconds(std::stod(v));
-    else if (eat("--trace", v)) trace_path = v;
-    else {
-      std::fprintf(stderr, "unknown flag: %s\n", arg.c_str());
+    try {
+      if (eat("--port", v))
+        cfg.port = static_cast<std::uint16_t>(parse_uint("--port", v, 65535));
+      else if (eat("--bind", v)) cfg.bind_host = v;
+      else if (eat("--max-sessions", v))
+        cfg.max_sessions = static_cast<std::size_t>(parse_uint(
+            "--max-sessions", v, std::numeric_limits<std::uint32_t>::max()));
+      else if (eat("--idle-timeout", v))
+        cfg.idle_timeout = sim::from_seconds(parse_seconds("--idle-timeout", v));
+      else if (eat("--trace", v)) trace_path = v;
+      else
+        throw std::invalid_argument("unknown flag: " + arg);
+    } catch (const std::invalid_argument& ex) {
+      std::fprintf(stderr, "abwd: %s\n", ex.what());
+      usage(stderr);
       return 2;
     }
   }

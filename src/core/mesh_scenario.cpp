@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <deque>
 #include <limits>
 #include <stdexcept>
 #include <string>
 
+#include "probe/stream_emitter.hpp"
 #include "runner/batch.hpp"
 #include "stats/trend.hpp"
 
@@ -111,12 +113,7 @@ void MeshScenario::on_edge_exit(std::size_t edge, const sim::Packet& pkt) {
   if (rec == nullptr) return;
   rec->received = sim_.now();
   ++st.received;
-}
-
-bool MeshScenario::drained() const {
-  for (const auto& [id, st] : active_)
-    if (st.received < st.expected) return false;
-  return true;
+  --outstanding_;
 }
 
 probe::StreamResult MeshScenario::send_stream(std::size_t p,
@@ -148,38 +145,21 @@ std::vector<probe::StreamResult> MeshScenario::send_concurrent_streams(
     st.result = &results[i];
     st.expected = spec.packets.size();
     active_.emplace(results[i].stream_id, st);
+    outstanding_ += st.expected;
   }
 
+  // One lazy emitter per stream, in `ps` order: each reserves its
+  // stream's event sequence numbers now.  A deque never moves them.
+  std::deque<probe::StreamEmitter> emitters;
   for (std::size_t i = 0; i < ps.size(); ++i) {
-    const std::size_t entry = routes_[ps[i]].front();
-    sim::Path* path0 = edge_paths_[entry].get();
-    const auto fid = static_cast<std::uint32_t>(ps[i]);
-    const std::uint32_t sid = results[i].stream_id;
-    results[i].packets.resize(spec.packets.size());
-    for (std::size_t k = 0; k < spec.packets.size(); ++k) {
-      const probe::ProbePacketSpec& pp = spec.packets[k];
-      results[i].packets[k].seq = static_cast<std::uint32_t>(k);
-      results[i].packets[k].size_bytes = pp.size_bytes;
-      results[i].packets[k].sent = start + pp.offset;
-      results[i].packets[k].lost = true;  // cleared on arrival
-      const std::uint32_t sz = pp.size_bytes;
-      const auto seq = static_cast<std::uint32_t>(k);
-      sim_.at(start + pp.offset, [this, path0, fid, sid, sz, seq] {
-        sim::Packet pkt;
-        pkt.id = sim_.next_packet_id();
-        pkt.type = sim::PacketType::kProbe;
-        pkt.measurement = true;  // excluded from cross-traffic ground truth
-        pkt.size_bytes = sz;
-        pkt.flow_id = fid;  // the pair index = the route key
-        pkt.stream_id = sid;
-        pkt.seq = seq;
-        pkt.send_time = sim_.now();
-        path0->inject(0, pkt);
-      });
-      ++cost_.packets;
-      cost_.bytes += sz;
-    }
+    sim::Path& path0 = *edge_paths_[routes_[ps[i]].front()];
+    // flow_id carries the pair index: the route key.
+    emitters.emplace_back(sim_, path0, spec, start, results[i],
+                          static_cast<std::uint32_t>(ps[i]));
     ++cost_.streams;
+    cost_.packets += spec.packets.size();
+    for (const probe::ProbePacketSpec& pp : spec.packets)
+      cost_.bytes += pp.size_bytes;
   }
 
   // Hybrid mode: the union of the streams' route edges goes discrete for
@@ -199,13 +179,17 @@ std::vector<probe::StreamResult> MeshScenario::send_concurrent_streams(
 
   const sim::SimTime deadline =
       start + spec.packets.back().offset + 2 * sim::kSecond;
-  sim_.run_until_condition(deadline, [this] { return drained(); });
+  sim_.run_until_condition(deadline, [this] { return outstanding_ == 0; });
 
   if (windows)
     for (std::size_t e = 0; e < topo_.edge_count(); ++e)
       if (touched[e] && edge_paths_[e]->hybrid())
         edge_paths_[e]->close_packet_window();
-  for (const probe::StreamResult& r : results) active_.erase(r.stream_id);
+  for (const probe::StreamResult& r : results) {
+    auto it = active_.find(r.stream_id);
+    outstanding_ -= it->second.expected - it->second.received;
+    active_.erase(it);
+  }
   cost_.last_activity = sim_.now();
   return results;
 }

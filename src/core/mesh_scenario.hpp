@@ -153,7 +153,6 @@ class MeshScenario {
   static constexpr std::int32_t kNotRouted = -2;
 
   void on_edge_exit(std::size_t edge, const sim::Packet& pkt);
-  bool drained() const;
 
   MeshConfig cfg_;
   sim::Topology topo_;  // cfg_.topology plus auto-installed routes
@@ -166,6 +165,7 @@ class MeshScenario {
   CrossTraffic cross_;
   std::vector<std::vector<std::int32_t>> next_edge_;  // [edge][pair]
   std::map<std::uint32_t, ActiveStream> active_;      // keyed by stream_id
+  std::size_t outstanding_ = 0;  // packets of active_ not yet received
   std::uint32_t next_stream_id_ = 1;
   probe::ProbeCost cost_;
 };

@@ -5,6 +5,7 @@
 #include <string>
 
 #include "probe/receiver_state.hpp"
+#include "probe/stream_emitter.hpp"
 #include "runner/batch.hpp"
 #include "stats/rng.hpp"
 
@@ -123,31 +124,9 @@ probe::StreamResult ParallelScenario::send_periodic_stream(
 
   probe::StreamResult result;
   result.stream_id = next_stream_id_++;
-  result.packets.resize(spec.packets.size());
-
-  sim::Simulator* sim0 = &ppath_->domain(0).simulator();
-  sim::Path* path0 = &ppath_->domain(0).path();
-  for (std::size_t i = 0; i < spec.packets.size(); ++i) {
-    const probe::ProbePacketSpec& ps = spec.packets[i];
-    result.packets[i].seq = static_cast<std::uint32_t>(i);
-    result.packets[i].size_bytes = ps.size_bytes;
-    result.packets[i].sent = start + ps.offset;
-    result.packets[i].lost = true;  // cleared on arrival
-    const std::uint32_t sid = result.stream_id;
-    const std::uint32_t sz = ps.size_bytes;
-    const std::uint32_t seq = static_cast<std::uint32_t>(i);
-    sim0->at(start + ps.offset, [sim0, path0, sid, sz, seq] {
-      sim::Packet pkt;
-      pkt.id = sim0->next_packet_id();
-      pkt.type = sim::PacketType::kProbe;
-      pkt.measurement = true;  // excluded from cross-traffic ground truth
-      pkt.size_bytes = sz;
-      pkt.stream_id = sid;
-      pkt.seq = seq;
-      pkt.send_time = sim0->now();
-      path0->inject(0, pkt);
-    });
-  }
+  // Sends run in domain 0.
+  probe::StreamEmitter emitter(ppath_->domain(0).simulator(),
+                               ppath_->domain(0).path(), spec, start, result);
 
   receiver_->begin_stream(&result);
 

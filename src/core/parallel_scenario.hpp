@@ -21,10 +21,11 @@
 //    worker-thread count for a fixed partition.
 //
 // Probing: ParallelScenario drives its own streams (probe::ProbeSession
-// is bound to a single Simulator).  Sends are scheduled into domain 0;
-// a recording receiver on the final domain fills a probe::StreamResult
-// with the same dedup/reorder semantics as ProbeSession (minus receiver
-// clock noise, which is orthogonal to the engine under test).
+// is bound to a single Simulator).  A probe::StreamEmitter sends into
+// domain 0; a recording receiver on the final domain fills a
+// probe::StreamResult with the same dedup/reorder semantics as
+// ProbeSession (minus receiver clock noise, which is orthogonal to the
+// engine under test).
 #pragma once
 
 #include <cstdint>

@@ -177,19 +177,7 @@ struct Daemon::Impl {
       ++stats.malformed;
       return;
     }
-    auto [it, fresh] = s->streams.try_emplace(h.stream_id);
-    Stream& st = it->second;
-    if (fresh) {
-      st.result.stream_id = h.stream_id;
-      st.result.packets.resize(h.count);
-      for (std::uint32_t i = 0; i < h.count; ++i) {
-        st.result.packets[i].seq = i;
-        st.result.packets[i].lost = true;
-      }
-      st.recv.reset();
-      while (s->streams.size() > cfg.max_streams_kept)
-        s->streams.erase(s->streams.begin());
-    }
+    Stream& st = find_or_open_stream(*s, h);
     probe::ProbeRecord* rec = st.recv.accept(st.result, h.seq);
     if (rec == nullptr) return;  // duplicate (counted) or out of range
     rec->size_bytes = static_cast<std::uint32_t>(datagram_len);
@@ -203,23 +191,40 @@ struct Daemon::Impl {
     Session* s = admit(peer, h, stamp_ns, 0);
     if (s == nullptr) return;
     auto it = s->streams.find(h.stream_id);
-    if (it == s->streams.end()) {
-      // Every probe of the stream was lost: synthesize the empty stream
-      // so the client gets a (vacuous) report instead of a timeout.
-      if (h.count == 0 || h.count > kMaxStreamPackets) {
-        ++stats.malformed;
-        return;
-      }
-      auto [fresh_it, _] = s->streams.try_emplace(h.stream_id);
-      fresh_it->second.result.stream_id = h.stream_id;
-      fresh_it->second.result.packets.resize(h.count);
-      for (std::uint32_t i = 0; i < h.count; ++i) {
-        fresh_it->second.result.packets[i].seq = i;
-        fresh_it->second.result.packets[i].lost = true;
-      }
-      it = fresh_it;
+    if (it != s->streams.end()) {
+      send_report(peer, *s, it->second);
+      return;
     }
-    send_report(peer, *s, it->second);
+    // Every probe of the stream was lost: synthesize the empty stream so
+    // the client gets a (vacuous) report instead of a timeout.
+    if (h.count == 0 || h.count > kMaxStreamPackets) {
+      ++stats.malformed;
+      return;
+    }
+    send_report(peer, *s, find_or_open_stream(*s, h));
+  }
+
+  // The stream `h` names, opened with h.count packets (all lost until
+  // they arrive) when new.  A session keeps at most max_streams_kept
+  // streams: opening one evicts the oldest (lowest id) others, never the
+  // stream just opened — a late probe for an old id must not free the
+  // record it is about to fill.  h.count is validated by the caller.
+  Stream& find_or_open_stream(Session& s, const WireHeader& h) {
+    auto [it, fresh] = s.streams.try_emplace(h.stream_id);
+    if (!fresh) return it->second;
+    Stream& st = it->second;
+    st.result.stream_id = h.stream_id;
+    st.result.packets.resize(h.count);
+    for (std::uint32_t i = 0; i < h.count; ++i) {
+      st.result.packets[i].seq = i;
+      st.result.packets[i].lost = true;
+    }
+    while (s.streams.size() > std::max<std::size_t>(cfg.max_streams_kept, 1)) {
+      auto victim = s.streams.begin();
+      if (victim == it) ++victim;
+      s.streams.erase(victim);
+    }
+    return st;
   }
 
   // Sends the full report for `st`: received (seq, stamp) records split

@@ -40,7 +40,9 @@ struct DaemonConfig {
   std::string bind_host = "127.0.0.1";
   std::uint16_t port = 0;  ///< 0 = ephemeral; read back with port()
   std::size_t max_sessions = 64;     ///< admission: kHelloReject beyond
-  std::size_t max_streams_kept = 8;  ///< per session; oldest dropped
+  std::size_t max_streams_kept = 8;  ///< per session (at least 1); lowest
+                                     ///< ids dropped first, never the
+                                     ///< stream being filled
   sim::SimTime idle_timeout = 30 * sim::kSecond;  ///< session GC
 };
 

@@ -2,6 +2,8 @@
 
 #include <stdexcept>
 
+#include "probe/stream_emitter.hpp"
+
 namespace abw::probe {
 
 ProbeSession::ProbeSession(sim::Simulator& sim, sim::Path& path)
@@ -23,33 +25,13 @@ StreamResult ProbeSession::send_stream(const StreamSpec& spec, sim::SimTime star
 
   StreamResult result;
   result.stream_id = next_stream_id_++;
-  result.packets.resize(spec.packets.size());
 
   if (cost_.streams == 0) cost_.first_send = start;
   ++cost_.streams;
+  cost_.packets += spec.packets.size();
+  for (const ProbePacketSpec& ps : spec.packets) cost_.bytes += ps.size_bytes;
 
-  for (std::size_t i = 0; i < spec.packets.size(); ++i) {
-    const ProbePacketSpec& ps = spec.packets[i];
-    result.packets[i].seq = static_cast<std::uint32_t>(i);
-    result.packets[i].size_bytes = ps.size_bytes;
-    result.packets[i].sent = start + ps.offset;
-    result.packets[i].lost = true;  // cleared on arrival
-
-    cost_.packets++;
-    cost_.bytes += ps.size_bytes;
-
-    sim_.at(start + ps.offset, [this, i, &result, &spec] {
-      sim::Packet pkt;
-      pkt.id = sim_.next_packet_id();
-      pkt.type = sim::PacketType::kProbe;
-      pkt.measurement = true;  // excluded from cross-traffic ground truth
-      pkt.size_bytes = spec.packets[i].size_bytes;
-      pkt.stream_id = result.stream_id;
-      pkt.seq = static_cast<std::uint32_t>(i);
-      pkt.send_time = sim_.now();
-      path_.inject(0, pkt);
-    });
-  }
+  StreamEmitter emitter(sim_, path_, spec, start, result);
 
   active_ = &result;
   received_ = 0;
@@ -95,6 +77,11 @@ StreamResult ProbeSession::send_stream(const StreamSpec& spec, sim::SimTime star
     trace_->emit(e);
   }
   return result;
+}
+
+void ProbeSession::set_drain_timeout(sim::SimTime t) {
+  if (t < 0) throw std::invalid_argument("ProbeSession: negative drain timeout");
+  drain_timeout_ = t;
 }
 
 StreamResult ProbeSession::send_stream_now(const StreamSpec& spec,

@@ -75,7 +75,9 @@ class ProbeSession {
   sim::TypeDemux& demux() { return demux_; }
 
   /// Maximum time to wait for in-flight packets after the last send.
-  void set_drain_timeout(sim::SimTime t) { drain_timeout_ = t; }
+  /// Throws std::invalid_argument when negative: every send must fire
+  /// before send_stream() returns.
+  void set_drain_timeout(sim::SimTime t);
 
   /// Hybrid mode: lead time by which each stream's packet window opens
   /// before its first probe, so the cross traffic is discrete (and any

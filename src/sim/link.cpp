@@ -163,11 +163,11 @@ void Link::finish_transmission() {
   stats_.bytes_out += tx_pkt_.size_bytes;
   if (trace_) emit_packet(obs::EventKind::kDeliver, tx_pkt_, {});
   if (next_ == nullptr) throw std::logic_error("Link '" + name_ + "': no next handler");
-  // Deliver after propagation; capture by value so the packet survives
-  // (several deliveries can be in flight at once along the propagation
-  // pipe — each closure owns its copy, and the capture fits inline).
-  // Fault-injected reordering adds a bounded extra delivery delay here:
-  // packets transmitted behind this one can then overtake it in flight.
+  // Deliver after propagation.  Fault-injected reordering adds a bounded
+  // extra delivery delay here: packets transmitted behind this one can
+  // then overtake it in flight, so a faulty link gives each packet its
+  // own delivery event (capturing it by value; the capture fits inline)
+  // instead of using the FIFO propagation lane.
   PacketHandler* next = next_;
   SimTime delay = cfg_.propagation_delay;
   if (faults_) {
@@ -179,10 +179,27 @@ void Link::finish_transmission() {
   }
   if (delay == 0) {
     next->handle(tx_pkt_);  // by-value: the callee owns its copy
-  } else {
+  } else if (faults_) {
     sim_.after(delay, [next, pkt = tx_pkt_]() mutable { next->handle(pkt); });
+  } else {
+    in_flight_.push_back(
+        InFlight{sim_.now() + delay, sim_.reserve_seqs(1), next, tx_pkt_});
+    if (in_flight_.size() == 1) arm_delivery();
   }
   start_transmission();
+}
+
+void Link::arm_delivery() {
+  const InFlight& head = in_flight_.front();
+  sim_.at_reserved(head.arrival, head.seq, [this] { deliver_head(); });
+}
+
+void Link::deliver_head() {
+  PacketHandler* next = in_flight_.front().next;
+  Packet pkt = in_flight_.front().pkt;
+  in_flight_.pop_front();
+  if (!in_flight_.empty()) arm_delivery();
+  next->handle(pkt);
 }
 
 bool Link::red_drop(std::uint32_t size_bytes) {

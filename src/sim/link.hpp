@@ -187,6 +187,8 @@ class Link final : public PacketHandler {
   void start_transmission();                   // pull the next queued packet
   void begin_transmission(const Packet& pkt);  // serialize + arm the event
   void finish_transmission();  // the link's single recurring tx event
+  void arm_delivery();         // schedules the propagation lane's head
+  void deliver_head();         // the lane head's event: deliver, re-arm
   void admit(const Packet& pkt);  // RED / queue-limit admission + enqueue
   bool red_drop(std::uint32_t size_bytes);  // RED admission decision
   // Trace emission helpers; call only under `if (trace_)`.
@@ -216,6 +218,19 @@ class Link final : public PacketHandler {
   // matches transmission_time(0), so the empty memo is consistent.
   std::uint32_t memo_tx_bytes_ = 0;
   SimTime memo_tx_time_ = 0;
+
+  // Propagation lane.  Without faults every packet takes the same
+  // propagation delay, so packets arrive in the order they left and only
+  // the head delivery needs to sit in the event heap.  Each entry keeps
+  // the event sequence number reserved when its transmission finished,
+  // so deliveries fire exactly where per-packet events would have.
+  struct InFlight {
+    SimTime arrival;
+    std::uint64_t seq;
+    PacketHandler* next;
+    Packet pkt;
+  };
+  RingQueue<InFlight> in_flight_;
 
   LinkStats stats_;
   UtilizationMeter meter_;

@@ -13,6 +13,11 @@ void Scheduler::throw_seq_overflow() {
   throw std::length_error("Scheduler: event sequence number overflow");
 }
 
+void Scheduler::throw_unreserved_seq() {
+  throw std::logic_error(
+      "Scheduler::schedule_reserved: sequence number was not reserved");
+}
+
 std::uint32_t Scheduler::acquire_fresh_slot() {
   if (next_fresh_slot_ >= kSlotCapacity)
     throw std::length_error("Scheduler: > 2^24 concurrently pending events");
@@ -41,6 +46,7 @@ Scheduler::Entry Scheduler::remove_top() {
     sift_down(0);
   }
   last_popped_ = top.time;
+  last_popped_seq_ = top.seq();
   return top;
 }
 

@@ -64,6 +64,33 @@ class Scheduler {
     push_entry(t, slot);
   }
 
+  /// Takes `n` consecutive sequence numbers now, for events that will be
+  /// inserted later with schedule_reserved(); returns the first.  A
+  /// reserved event pops exactly where it would have popped had it been
+  /// scheduled at reservation time, so a driver can keep only its
+  /// next-to-fire event in the heap without changing the event order.
+  /// Throws std::length_error when the sequence space would overflow.
+  std::uint64_t reserve_seqs(std::uint64_t n) {
+    if (n > kSeqLimit - next_seq_) throw_seq_overflow();
+    const std::uint64_t first = next_seq_;
+    next_seq_ += n;
+    return first;
+  }
+
+  /// Inserts `f` at time `t` under `seq`, a number taken by reserve_seqs()
+  /// and not used before.  (t, seq) must not sort before the most recently
+  /// popped event — that would rewrite history — so the caller has to
+  /// insert it before anything that follows it pops.  Throws
+  /// std::logic_error on a violation or an unreserved seq.
+  template <typename F>
+  void schedule_reserved(SimTime t, std::uint64_t seq, F&& f) {
+    if (seq >= next_seq_) throw_unreserved_seq();
+    if (t == last_popped_ && seq < last_popped_seq_) throw_past_event();
+    std::uint32_t slot = acquire_slot(t);
+    slot_ref(slot).emplace(std::forward<F>(f));
+    insert(Entry{t, (seq << kSlotBits) | slot});
+  }
+
   /// True when no events remain.
   bool empty() const { return heap_.empty(); }
 
@@ -93,10 +120,11 @@ class Scheduler {
     free_slots_.push_back(top.slot());
   }
 
-  /// Number of pending events.
+  /// Number of events in the heap.  Work a driver holds back under
+  /// reserved sequence numbers (see reserve_seqs()) is not counted.
   std::size_t size() const { return heap_.size(); }
 
-  /// High-water mark of pending events over the scheduler's lifetime.
+  /// High-water mark of size() over the scheduler's lifetime.
   std::size_t peak_size() const { return peak_size_; }
 
   /// Number of pooled callback slots ever created; stops growing once the
@@ -227,7 +255,11 @@ class Scheduler {
 
   void push_entry(SimTime t, std::uint32_t slot) {
     if (next_seq_ >= kSeqLimit) throw_seq_overflow();
-    heap_.push_back(Entry{t, (next_seq_++ << kSlotBits) | slot});
+    insert(Entry{t, (next_seq_++ << kSlotBits) | slot});
+  }
+
+  void insert(const Entry& e) {
+    heap_.push_back(e);
     sift_up(heap_.size() - 1);
     if (heap_.size() > peak_size_) peak_size_ = heap_.size();
   }
@@ -245,6 +277,7 @@ class Scheduler {
 
   [[noreturn]] static void throw_past_event();
   [[noreturn]] static void throw_seq_overflow();
+  [[noreturn]] static void throw_unreserved_seq();
   std::uint32_t acquire_fresh_slot();  // free list empty: grow the slab
   Entry remove_top();                  // pops the heap, updates last_popped_
   void sift_down(std::size_t i);
@@ -257,6 +290,7 @@ class Scheduler {
   std::uint32_t next_fresh_slot_ = 0;  // first never-used slot id
   std::uint64_t next_seq_ = 0;
   SimTime last_popped_ = 0;
+  std::uint64_t last_popped_seq_ = 0;  // tie-break floor at last_popped_
   std::size_t peak_size_ = 0;
 };
 

@@ -2,8 +2,8 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <stdexcept>
+#include <string_view>
 #include <utility>
 
 #include "obs/metrics.hpp"
@@ -40,6 +40,23 @@ class Simulator {
     scheduler_.schedule_emplace(now_ + delay, std::forward<F>(cb));
   }
 
+  /// Takes `n` event sequence numbers now (Scheduler::reserve_seqs) and
+  /// returns the first; at_reserved() inserts the events later.
+  std::uint64_t reserve_seqs(std::uint64_t n) {
+    return scheduler_.reserve_seqs(n);
+  }
+
+  /// Schedules `cb` at absolute time `t` (>= now()) under a sequence
+  /// number from reserve_seqs(): it fires exactly where it would have had
+  /// it been scheduled with at() when the number was reserved, provided
+  /// it is inserted before any event that sorts after it has fired.
+  template <typename F>
+  void at_reserved(SimTime t, std::uint64_t seq, F&& cb) {
+    if (t < now_)
+      throw std::logic_error("Simulator::at_reserved: time in the past");
+    scheduler_.schedule_reserved(t, seq, std::forward<F>(cb));
+  }
+
   /// Runs events until the queue is empty or the next event is past `t`;
   /// the clock is left at min(t, last event time processed ... t).
   void run_until(SimTime t);
@@ -56,9 +73,21 @@ class Simulator {
   void run_until_idle();
 
   /// Runs events until `done()` returns true, the next event is past
-  /// `t_max`, or the queue empties.  `done` is checked after each event.
+  /// `t_max`, or the queue empties.  `done` is checked after each event,
+  /// so it is a template parameter: the check inlines into the drain loop.
   /// Returns true when the predicate was satisfied.
-  bool run_until_condition(SimTime t_max, const std::function<bool()>& done);
+  template <typename Done>
+  bool run_until_condition(SimTime t_max, Done&& done) {
+    obs::ScopedTimer timer(metrics_, kDrainTimer);
+    bool satisfied = done();
+    while (!satisfied && !scheduler_.empty() &&
+           scheduler_.next_time_unchecked() <= t_max) {
+      step();
+      satisfied = done();
+    }
+    if (metrics_) metrics_->counter("sim.events").set(events_processed_);
+    return satisfied;
+  }
 
   /// True when no events are pending.
   bool idle() const { return scheduler_.empty(); }
@@ -69,8 +98,8 @@ class Simulator {
   /// Total events processed (for micro-benchmarks and sanity checks).
   std::uint64_t events_processed() const { return events_processed_; }
 
-  /// High-water mark of concurrently pending events — the working-set
-  /// size of the event queue (reported in BENCH_core.json).
+  /// High-water mark of the event heap (Scheduler::peak_size): events
+  /// held back under reserved sequence numbers are not counted.
   std::size_t peak_event_count() const { return scheduler_.peak_size(); }
 
   /// Pooled callback slots created so far; constant at steady state.
@@ -88,7 +117,17 @@ class Simulator {
   obs::MetricsRegistry* metrics() const { return metrics_; }
 
  private:
-  void step();  // pop one event, advance the clock, run the callback
+  // Shared timer key so every drain loop accumulates into one TimerStat.
+  static constexpr std::string_view kDrainTimer = "sim.drain";
+
+  // Pop one event, advance the clock, run the callback.  Inline: the
+  // drain loops call it once per event.
+  void step() {
+    scheduler_.pop_and_run([this](SimTime t) {
+      now_ = t;
+      ++events_processed_;
+    });
+  }
 
   Scheduler scheduler_;
   SimTime now_ = 0;

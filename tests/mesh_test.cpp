@@ -361,6 +361,23 @@ TEST(MeshScenario, SharedLinkLoadIsSumOfRoutedFlows) {
   }
 }
 
+TEST(MeshScenario, ConcurrentStreamsKeepFewEventsInTheHeap) {
+  // Four 2000-packet streams at once over a loaded packet-mode parking
+  // lot.  Each stream holds only its next send in the event heap; each
+  // edge holds at most its cross source's next arrival, its transmission
+  // and its propagation-lane head.
+  core::ParkingLotMeshConfig pc;
+  pc.mode = sim::SimMode::kPacket;
+  pc.warmup = 200 * sim::kMillisecond;
+  core::MeshScenario mesh(core::parking_lot_mesh(pc));
+  const std::vector<std::size_t> pairs{0, 5, 10, 15};
+  auto results = mesh.send_concurrent_streams(
+      pairs, probe::StreamSpec::periodic(2e6, 500, 2000), sim::kMillisecond);
+  for (const auto& r : results) EXPECT_GT(r.received_count(), 1900u);
+  EXPECT_LE(mesh.simulator().peak_event_count(),
+            3 * mesh.topology().edge_count() + pairs.size());
+}
+
 // ---------------------------------------------------------------------------
 // Sublinear probing on the fat-tree mesh
 

@@ -4,9 +4,14 @@
 // traffic.
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <vector>
+
 #include "probe/session.hpp"
+#include "probe/stream_emitter.hpp"
 #include "probe/stream_result.hpp"
 #include "probe/stream_spec.hpp"
+#include "sim/node.hpp"
 #include "sim/path.hpp"
 #include "sim/simulator.hpp"
 #include "stats/trend.hpp"
@@ -192,6 +197,80 @@ TEST(Session, RejectsEmptyAndPastStreams) {
   f.simu.run_until(kSecond);
   auto spec = probe::StreamSpec::periodic(1e6, 100, 2);
   EXPECT_THROW(f.session.send_stream(spec, 0), std::invalid_argument);
+}
+
+TEST(Session, UnsortedSpecSendsInTimeOrder) {
+  // Hand-made offsets out of order: every packet still leaves at its own
+  // offset, so seq 1 (sent last) arrives behind seq 3.
+  SessionFixture f;
+  probe::StreamSpec spec;
+  for (sim::SimTime off : {0, 300, 100, 200})
+    spec.packets.push_back({off * kMicrosecond, 100});
+  auto res = f.session.send_stream_now(spec);
+  ASSERT_TRUE(res.complete());
+  const sim::SimTime owd = sim::transmission_time(100, 50e6) + kMillisecond;
+  for (const auto& r : res.packets) EXPECT_EQ(r.received - r.sent, owd);
+  EXPECT_EQ(res.reordered_count, 1u);
+}
+
+TEST(StreamEmitter, SendsKeepReservedTieOrder) {
+  // Send 2 (start + 20 us) ties with an event X scheduled after the
+  // emitter reserved its numbers but before send 1 armed send 2.  Sends
+  // scheduled up front would precede X, so send 2 must still go first.
+  sim::Simulator simu;
+  sim::LinkConfig cfg;
+  cfg.capacity_bps = 50e6;
+  sim::Path path(simu, {cfg});
+  sim::CountingSink sink;
+  path.set_receiver(&sink);
+  std::vector<int> order;
+  path.link(0).set_arrival_tap(
+      [&](const sim::Packet& p, sim::SimTime) { order.push_back(static_cast<int>(p.seq)); });
+
+  probe::StreamSpec spec;
+  for (sim::SimTime off : {0, 10, 20})
+    spec.packets.push_back({off * kMicrosecond, 100});
+  const sim::SimTime start = kMillisecond;
+  probe::StreamResult result;
+  result.stream_id = 7;
+  probe::StreamEmitter emitter(simu, path, spec, start, result);
+  simu.at(start + 20 * kMicrosecond, [&] { order.push_back(-1); });
+  simu.run_until_idle();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, -1}));
+  ASSERT_EQ(result.packets.size(), 3u);
+  EXPECT_EQ(result.packets[2].sent, start + 20 * kMicrosecond);
+  EXPECT_TRUE(result.packets[2].lost);  // until a receiver clears it
+}
+
+TEST(Session, RejectsNegativeDrainTimeout) {
+  SessionFixture f;
+  EXPECT_THROW(f.session.set_drain_timeout(-1), std::invalid_argument);
+  EXPECT_NO_THROW(f.session.set_drain_timeout(0));
+}
+
+TEST(Session, StreamKeepsFewEventsInTheHeap) {
+  // A 2000-packet stream over three loaded hops with 5 ms propagation:
+  // hundreds of probe and cross packets are pending at once, but the
+  // stream holds only its next send in the event heap and each link only
+  // its transmission and its propagation-lane head.
+  sim::Simulator simu;
+  sim::LinkConfig cfg;
+  cfg.capacity_bps = 50e6;
+  cfg.propagation_delay = 5 * kMillisecond;
+  sim::Path path(simu, {cfg, cfg, cfg});
+  probe::ProbeSession session(simu, path);
+  std::vector<std::unique_ptr<traffic::CbrGenerator>> cross;
+  for (std::size_t hop = 0; hop < 3; ++hop) {
+    cross.push_back(std::make_unique<traffic::CbrGenerator>(
+        simu, path, hop, true, 1 + static_cast<std::uint32_t>(hop),
+        stats::Rng(3 + hop), 20e6, 1500));
+    cross.back()->start(0, 60 * kSecond);
+  }
+  simu.run_until(kSecond);
+
+  auto res = session.send_stream_now(probe::StreamSpec::periodic(20e6, 1500, 2000));
+  EXPECT_TRUE(res.complete());
+  EXPECT_LE(simu.peak_event_count(), 16u);
 }
 
 // ------------------------------------------- fluid-model identities ----

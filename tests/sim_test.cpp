@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "sim/link.hpp"
@@ -13,6 +15,7 @@
 #include "sim/simulator.hpp"
 #include "sim/time.hpp"
 #include "sim/util_meter.hpp"
+#include "sim/fault.hpp"
 #include "stats/rng.hpp"
 
 namespace {
@@ -118,7 +121,94 @@ TEST(Scheduler, PastBoundaryTracksLatestPop) {
   EXPECT_THROW(s.schedule(29, [] {}), std::logic_error);
 }
 
+// Reserved sequence numbers: an event inserted later under a number
+// taken earlier pops where it would have popped if scheduled then.
+TEST(Scheduler, ReservedEventPopsBeforeLaterTie) {
+  Scheduler s;
+  std::vector<int> order;
+  const std::uint64_t seq = s.reserve_seqs(1);
+  s.schedule(7, [&] { order.push_back(2); });  // scheduled after reserving
+  s.schedule_reserved(7, seq, [&] { order.push_back(1); });
+  s.schedule(7, [&] { order.push_back(3); });
+  while (!s.empty()) s.pop().cb();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+}
+
+TEST(Scheduler, ReservedChainMatchesUpFrontScheduling) {
+  // Five chain events at times 0, 0, 10, 10, 20, then five plain events
+  // at the same times.  Up front: all ten scheduled at once.  Lazy: the
+  // chain's numbers are reserved first and each chain event inserts the
+  // next, so the heap holds one chain entry at a time.
+  const auto time_of = [](int i) { return static_cast<SimTime>(10 * (i / 2)); };
+  Scheduler eager;
+  std::vector<int> eager_order;
+  for (int i = 0; i < 5; ++i)
+    eager.schedule(time_of(i), [&eager_order, i] { eager_order.push_back(i); });
+  for (int i = 0; i < 5; ++i)
+    eager.schedule(time_of(i), [&eager_order, i] { eager_order.push_back(-i); });
+
+  Scheduler lazy;
+  std::vector<int> lazy_order;
+  const std::uint64_t first = lazy.reserve_seqs(5);
+  std::function<void(int)> arm = [&](int i) {
+    lazy.schedule_reserved(time_of(i), first + static_cast<std::uint64_t>(i),
+                           [&, i] {
+                             lazy_order.push_back(i);
+                             if (i + 1 < 5) arm(i + 1);
+                           });
+  };
+  arm(0);
+  for (int i = 0; i < 5; ++i)
+    lazy.schedule(time_of(i), [&lazy_order, i] { lazy_order.push_back(-i); });
+
+  while (!eager.empty()) eager.pop().cb();
+  while (!lazy.empty()) lazy.pop().cb();
+  EXPECT_EQ(eager_order, (std::vector<int>{0, 1, 0, -1, 2, 3, -2, -3, 4, -4}));
+  EXPECT_EQ(lazy_order, eager_order);
+  EXPECT_EQ(eager.peak_size(), 10u);
+  EXPECT_EQ(lazy.peak_size(), 6u);  // one chain entry + five plain events
+}
+
+TEST(Scheduler, ReservedRejectsPastAndUnreserved) {
+  Scheduler s;
+  const std::uint64_t early = s.reserve_seqs(2);
+  s.schedule(10, [] {});
+  (void)s.pop();  // last popped: time 10, seq early + 2
+  EXPECT_THROW(s.schedule_reserved(5, early, [] {}), std::logic_error);
+  // Same time, but the number sorts before the popped event: inserting
+  // it would pop out of order.
+  EXPECT_THROW(s.schedule_reserved(10, early, [] {}), std::logic_error);
+  EXPECT_NO_THROW(s.schedule_reserved(11, early + 1, [] {}));
+  // A number that was never handed out.
+  EXPECT_THROW(s.schedule_reserved(20, early + 3, [] {}), std::logic_error);
+  EXPECT_THROW(s.schedule_reserved(20, early + 1000, [] {}), std::logic_error);
+}
+
+TEST(Scheduler, ReserveSeqsChecksOverflow) {
+  Scheduler s;
+  const std::uint64_t limit = std::uint64_t{1} << 40;  // Entry seq width
+  EXPECT_THROW(s.reserve_seqs(limit + 1), std::length_error);
+  EXPECT_THROW(s.reserve_seqs(~std::uint64_t{0}), std::length_error);
+  // Taking the whole space is legal; the next number of either kind is not.
+  EXPECT_EQ(s.reserve_seqs(limit - 1), 0u);
+  s.schedule(1, [] {});  // the last number
+  EXPECT_THROW(s.schedule(1, [] {}), std::length_error);
+  EXPECT_THROW(s.reserve_seqs(1), std::length_error);
+  EXPECT_NO_THROW(s.reserve_seqs(0));
+}
+
 // ---------------------------------------------------------- simulator ---
+
+TEST(Simulator, AtReservedRejectsPast) {
+  Simulator sim;
+  const std::uint64_t seq = sim.reserve_seqs(1);
+  sim.run_until(100);
+  EXPECT_THROW(sim.at_reserved(50, seq, [] {}), std::logic_error);
+  int fired = 0;
+  sim.at_reserved(100, seq, [&] { ++fired; });
+  sim.run_until_idle();
+  EXPECT_EQ(fired, 1);
+}
 
 TEST(Simulator, ClockAdvancesBeforeCallback) {
   Simulator sim;
@@ -506,6 +596,144 @@ TEST(Link, ArrivalTapSeesEveryArrival) {
   sim.run_until_idle();
   EXPECT_EQ(taps, 2);  // tap fires before the drop decision
   EXPECT_EQ(link.stats().packets_dropped, 1u);
+}
+
+namespace {
+
+// Arrival digest of a two-hop chain: a 100 Mb/s link with 1 ms
+// propagation feeding a 50 Mb/s link with 3 ms, random sizes and gaps.
+// mode 0: clean; 1: reordering + duplication on the first link; 2: those
+// faults installed at 100 ms and removed at 250 ms, and the second link's
+// capacity stepped to 40 Mb/s at 200 ms.
+std::uint64_t chain_arrival_digest(int mode) {
+  Simulator simu;
+  LinkConfig a;
+  a.capacity_bps = 100e6;
+  a.propagation_delay = kMillisecond;
+  LinkConfig b;
+  b.capacity_bps = 50e6;
+  b.propagation_delay = 3 * kMillisecond;
+  Link first(simu, "a", a);
+  Link second(simu, "b", b);
+  CountingSink sink;
+  first.set_next(&second);
+  second.set_next(&sink);
+
+  std::uint64_t h = 1469598103934665603ull;
+  auto mix = [&h](std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xff;
+      h *= 1099511628211ull;
+    }
+  };
+  sink.set_on_packet([&](const Packet& p) {
+    mix(p.id);
+    mix(p.seq);
+    mix(static_cast<std::uint64_t>(simu.now()));
+  });
+
+  LinkFaults faults;
+  faults.reorder_prob = 0.25;
+  faults.reorder_extra_max = 2 * kMillisecond;
+  faults.duplicate_prob = 0.05;
+  if (mode == 1) first.set_faults(faults);
+  if (mode == 2) {
+    simu.at(100 * kMillisecond, [&] { first.set_faults(faults); });
+    simu.at(250 * kMillisecond, [&] { first.set_faults(LinkFaults{}); });
+    simu.at(200 * kMillisecond, [&] { second.set_capacity(40e6); });
+  }
+
+  abw::stats::Rng rng(42);
+  SimTime t = 0;
+  for (std::uint32_t i = 0; i < 3000; ++i) {
+    t += from_seconds(rng.exponential(150e-6));
+    const auto size = static_cast<std::uint32_t>(rng.uniform_int(40, 1500));
+    simu.at(t, [&simu, &first, size, i] {
+      Packet pkt;
+      pkt.id = simu.next_packet_id();
+      pkt.size_bytes = size;
+      pkt.seq = i;
+      pkt.send_time = simu.now();
+      first.handle(pkt);
+    });
+  }
+  simu.run_until_idle();
+  mix(simu.events_processed());
+  return h;
+}
+
+}  // namespace
+
+// Pinned arrival digests (packet id, seq, arrival time, plus the event
+// count) from the implementation that scheduled one delivery event per
+// packet in flight.  A clean link now delivers through its propagation
+// lane; a faulty one keeps per-packet events because reordering breaks
+// FIFO order.  Both, and a link switching between them mid-run, must
+// reproduce the per-packet event order bit for bit.
+TEST(Link, PropagationLaneMatchesPinnedArrivals) {
+  EXPECT_EQ(chain_arrival_digest(0), 0x92f1d9fb985cd32dull);
+}
+
+TEST(Link, ReorderFaultLinkMatchesPinnedArrivals) {
+  EXPECT_EQ(chain_arrival_digest(1), 0x477152dcbe0e5558ull);
+}
+
+TEST(Link, FaultsToggledMidRunMatchPinnedArrivals) {
+  EXPECT_EQ(chain_arrival_digest(2), 0x7526f73ef3f97662ull);
+}
+
+TEST(Link, PropagationLaneKeepsReservedTieOrder) {
+  // p1's delivery (7 ms) ties with an event X scheduled at 3 ms, after p1
+  // left the transmitter (2 ms) but before the lane armed p1 behind p0's
+  // delivery (6 ms).  A per-packet delivery event would have been
+  // scheduled at 2 ms, ahead of X, so p1 must still be delivered first.
+  Simulator sim;
+  LinkConfig cfg;
+  cfg.capacity_bps = 8e6;  // 1000 B -> 1 ms
+  cfg.propagation_delay = 5 * kMillisecond;
+  Link link(sim, "l", cfg);
+  std::vector<int> order;
+  CountingSink sink;
+  sink.set_on_packet([&](const Packet& p) { order.push_back(static_cast<int>(p.seq)); });
+  link.set_next(&sink);
+  sim.at(0, [&] {
+    for (std::uint32_t i = 0; i < 2; ++i) {
+      Packet p;
+      p.size_bytes = 1000;
+      p.seq = i;
+      link.handle(p);
+    }
+  });
+  sim.at(3 * kMillisecond,
+         [&] { sim.at(7 * kMillisecond, [&] { order.push_back(-1); }); });
+  sim.run_until_idle();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, -1}));
+}
+
+TEST(Link, PropagationLaneKeepsOneDeliveryInTheHeap) {
+  // A self-rearming source at line rate into a 10 ms pipe: ~80 packets
+  // in flight at once, but only the lane head is in the event heap.
+  Simulator sim;
+  LinkConfig cfg;
+  cfg.capacity_bps = 100e6;  // 1500 B -> 120 us
+  cfg.propagation_delay = 10 * kMillisecond;
+  Link link(sim, "l", cfg);
+  Collector sink;
+  link.set_next(&sink);
+  std::uint32_t sent = 0;
+  std::function<void()> source = [&] {
+    Packet p;
+    p.size_bytes = 1500;
+    p.seq = sent++;
+    link.handle(p);
+    if (sent < 2000) sim.after(120 * kMicrosecond, source);
+  };
+  sim.at(0, source);
+  sim.run_until_idle();
+  ASSERT_EQ(sink.got.size(), 2000u);
+  for (std::uint32_t i = 0; i < 2000; ++i) EXPECT_EQ(sink.got[i].seq, i);
+  // Source, transmission and lane head.
+  EXPECT_LE(sim.peak_event_count(), 3u);
 }
 
 TEST(Link, RejectsBadConfig) {

@@ -10,12 +10,19 @@
 //    against an in-process abwd daemon; an all-9-tool sweep asserting
 //    valid-or-structured termination; daemon multiplexing of many
 //    concurrent sessions with no cross-session bleed; admission
-//    rejection beyond max_sessions; and the graceful kDeadline abort
-//    when the peer goes silent.
+//    rejection beyond max_sessions; the graceful kDeadline abort when
+//    the peer goes silent; and the daemon's per-session stream bound
+//    against a raw ABW1 peer (late probes, unknown stream-end ids).
 //
 // Every socket-touching test skips itself (GTEST_SKIP) when the
 // environment cannot bind a loopback UDP socket.
 #include <gtest/gtest.h>
+
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <sys/time.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <memory>
@@ -470,4 +477,116 @@ TEST(UdpLoopback, DaemonExportsObsTraceAndMetrics) {
   EXPECT_EQ(m.counter("abwd.reports_sent").value, 1u);
   daemon->set_trace(nullptr);
   EXPECT_GE(sink.events(), 2u);  // hello + report at minimum
+}
+
+// ---------------------------------------------------------------------------
+// abwd stream bookkeeping against a raw ABW1 peer
+
+namespace {
+
+// A bare UDP client speaking ABW1 datagrams directly, so a test can send
+// exactly the sequence a reordering path or a hostile peer would.
+class RawPeer {
+ public:
+  explicit RawPeer(std::uint16_t port) {
+    fd_ = ::socket(AF_INET, SOCK_DGRAM, 0);
+    timeval tv{};
+    tv.tv_sec = 2;
+    ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+    daemon_.sin_family = AF_INET;
+    daemon_.sin_port = htons(port);
+    daemon_.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  }
+  ~RawPeer() { ::close(fd_); }
+  RawPeer(const RawPeer&) = delete;
+  RawPeer& operator=(const RawPeer&) = delete;
+
+  void send(net::MsgType type, std::uint64_t session, std::uint32_t stream,
+            std::uint32_t seq, std::uint32_t count) {
+    net::WireHeader h;
+    h.type = static_cast<std::uint8_t>(type);
+    h.session_id = session;
+    h.stream_id = stream;
+    h.seq = seq;
+    h.count = count;
+    unsigned char buf[net::kHeaderSize];
+    net::encode_header(h, buf);
+    (void)::sendto(fd_, buf, sizeof(buf), 0,
+                   reinterpret_cast<const sockaddr*>(&daemon_),
+                   sizeof(daemon_));
+  }
+
+  // Next datagram of `type` (others skipped); false on timeout.
+  bool receive(net::MsgType type, net::WireHeader* out) {
+    unsigned char buf[net::kMaxDatagram];
+    for (;;) {
+      const ssize_t n = ::recv(fd_, buf, sizeof(buf), 0);
+      if (n <= 0) return false;
+      if (net::decode_header(buf, static_cast<std::size_t>(n), out) &&
+          out->type == static_cast<std::uint8_t>(type))
+        return true;
+    }
+  }
+
+  // Opens an unlimited session; 0 when no ack came.
+  std::uint64_t hello() {
+    send(net::MsgType::kHello, 0, 0, 0, 0);
+    net::WireHeader ack;
+    return receive(net::MsgType::kHelloAck, &ack) ? ack.session_id : 0;
+  }
+
+  // Ends `stream` and returns how many received probes its report lists
+  // (one fragment: fewer than kReportRecordsPerFragment), -1 on timeout.
+  long stream_end(std::uint64_t session, std::uint32_t stream,
+                  std::uint32_t count) {
+    send(net::MsgType::kStreamEnd, session, stream, 0, count);
+    net::WireHeader rep;
+    if (!receive(net::MsgType::kReport, &rep) || rep.stream_id != stream)
+      return -1;
+    return static_cast<long>(rep.aux);
+  }
+
+ private:
+  int fd_ = -1;
+  sockaddr_in daemon_{};
+};
+
+}  // namespace
+
+// A session already holding max_streams_kept (8) streams receives one
+// late probe for an older stream id.  The new stream sorts first, and the
+// eviction used to erase it again before the probe was written into it
+// (heap-use-after-free under ASAN; without ASAN the probe was lost).
+TEST(UdpLoopback, LateProbeForOldStreamIsKeptNotFreed) {
+  auto daemon = try_daemon();
+  REQUIRE_SOCKETS(daemon);
+  RawPeer peer(daemon->port());
+  const std::uint64_t session = peer.hello();
+  ASSERT_NE(session, 0u);
+
+  for (std::uint32_t stream = 10; stream <= 17; ++stream)
+    peer.send(net::MsgType::kProbe, session, stream, 0, 4);
+  peer.send(net::MsgType::kProbe, session, 1, 2, 4);  // the late probe
+
+  EXPECT_EQ(peer.stream_end(session, 1, 4), 1) << "late probe lost";
+  // Stream 10, the oldest other stream, made room for it.
+  EXPECT_EQ(peer.stream_end(session, 10, 4), 0);
+  EXPECT_EQ(peer.stream_end(session, 17, 4), 1);
+  EXPECT_EQ(daemon->stats().probes_in, 9u);
+}
+
+// Stream-end datagrams for unknown ids open (empty) streams too; they
+// are bounded by the same eviction instead of growing the session.
+TEST(UdpLoopback, StreamEndForUnknownIdsIsBounded) {
+  auto daemon = try_daemon();
+  REQUIRE_SOCKETS(daemon);
+  RawPeer peer(daemon->port());
+  const std::uint64_t session = peer.hello();
+  ASSERT_NE(session, 0u);
+
+  peer.send(net::MsgType::kProbe, session, 5, 0, 4);
+  for (std::uint32_t stream = 100; stream < 140; ++stream)
+    ASSERT_EQ(peer.stream_end(session, stream, 4), 0);
+  // Stream 5 was evicted by the unknown ids: its report is empty now.
+  EXPECT_EQ(peer.stream_end(session, 5, 4), 0);
 }

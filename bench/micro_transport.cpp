@@ -9,8 +9,8 @@
 //
 //   TRANS_sim_stream
 //       items_per_second = 100-packet streams retired per wall second
-//       through SimTransport over the paper's single-hop scenario —
-//       the interface-dispatch + simulation cost of the redesigned path.
+//       through the ProbeSession transport over the paper's single-hop
+//       scenario — the interface-dispatch + simulation cost.
 //   TRANS_udp_stream
 //       items_per_second = 100-packet streams per wall second over
 //       UdpTransport against an in-process daemon on loopback: pacing,
@@ -48,7 +48,7 @@ struct BenchRun {
 };
 
 // ---------------------------------------------------------------------------
-// SimTransport: streams through the simulated substrate
+// ProbeSession: streams through the simulated substrate
 
 BenchRun run_sim_stream() {
   constexpr int kStreams = 200;

@@ -16,7 +16,6 @@
 //   --idle-timeout=S   session GC, seconds   (default 30)
 //   --trace=FILE       JSONL session-event trace (obs/)
 //   --help             print the usage and exit
-#include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -29,8 +28,11 @@
 
 #include "net/daemon.hpp"
 #include "obs/trace.hpp"
+#include "runner/cli.hpp"
 
 using namespace abw;
+using runner::parse_seconds;
+using runner::parse_uint;
 
 namespace {
 
@@ -41,38 +43,6 @@ void usage(std::FILE* out) {
   std::fprintf(out,
                "usage: abwd [--port=N] [--bind=ADDR] [--max-sessions=N] "
                "[--idle-timeout=S] [--trace=FILE]\n");
-}
-
-// The whole of `v` as an integer in [0, max]; throws std::invalid_argument
-// naming `flag` otherwise (stoul alone accepts "12abc" and wraps "-1").
-unsigned long long parse_uint(const char* flag, const std::string& v,
-                              unsigned long long max) {
-  std::size_t used = 0;
-  unsigned long long n = 0;
-  try {
-    if (!v.empty() && v[0] >= '0' && v[0] <= '9') n = std::stoull(v, &used);
-  } catch (const std::exception&) {
-    used = 0;  // out of range
-  }
-  if (used == 0 || used != v.size() || n > max)
-    throw std::invalid_argument(std::string(flag) + ": expected an integer in [0, " +
-                                std::to_string(max) + "], got '" + v + "'");
-  return n;
-}
-
-// The whole of `v` as a finite number of seconds in [0, 1e9].
-double parse_seconds(const char* flag, const std::string& v) {
-  std::size_t used = 0;
-  double x = -1.0;
-  try {
-    x = std::stod(v, &used);
-  } catch (const std::exception&) {
-    used = 0;
-  }
-  if (used == 0 || used != v.size() || !std::isfinite(x) || x < 0.0 || x > 1e9)
-    throw std::invalid_argument(std::string(flag) +
-                                ": expected seconds in [0, 1e9], got '" + v + "'");
-  return x;
 }
 
 }  // namespace

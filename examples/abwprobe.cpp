@@ -24,11 +24,15 @@
 //   --peer=HOST:PORT   abwd address (udp transport)
 //   --budget=N         probe-packet budget (0 = unlimited)
 //   --deadline=S       measurement deadline in seconds (0 = none)
+//   --help             print the usage and exit
+//
+// A malformed flag or value prints the message and the usage and exits 2.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <memory>
+#include <stdexcept>
 #include <string>
 
 #include "core/registry.hpp"
@@ -37,13 +41,28 @@
 #include "net/udp_transport.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "runner/cli.hpp"
 
 using namespace abw;
+using runner::parse_real;
+using runner::parse_seconds;
+using runner::parse_uint;
 
 namespace {
 
+void usage(std::FILE* out) {
+  std::fprintf(out,
+               "usage: abwprobe [--tool=NAME] [--model=cbr|poisson|pareto] "
+               "[--capacity=RATE] [--cross=RATE]\n"
+               "                [--hops=N] [--seed=N] [--loss=P] "
+               "[--skew-ppm=D] [--trace=FILE] [--metrics=FILE]\n"
+               "                [--transport=sim|udp] [--peer=HOST:PORT] "
+               "[--budget=N] [--deadline=S] [--list] [--help]\n"
+               "RATE is bits/s with an optional k/M/G suffix, e.g. 50M\n");
+}
+
 // Parses "50M", "1.5G", "2500k", or plain bits/s.
-double parse_rate(const std::string& v) {
+double parse_rate(const char* flag, const std::string& v) {
   char suffix = v.empty() ? '\0' : v.back();
   double mult = 1.0;
   std::string num = v;
@@ -51,7 +70,7 @@ double parse_rate(const std::string& v) {
   if (suffix == 'm' || suffix == 'M') mult = 1e6;
   if (suffix == 'g' || suffix == 'G') mult = 1e9;
   if (mult != 1.0) num = v.substr(0, v.size() - 1);
-  return std::stod(num) * mult;
+  return parse_real(flag, num, 0.0, 1e15 / mult) * mult;
 }
 
 struct Args {
@@ -70,9 +89,13 @@ struct Args {
   std::uint64_t budget = 0;
   double deadline_s = 0.0;
   bool list = false;
+  bool help = false;
 };
 
-bool parse(int argc, char** argv, Args& a) {
+// Fills `a` from argv; throws std::invalid_argument on an unknown flag
+// or a malformed value.
+void parse(int argc, char** argv, Args& a) {
+  constexpr unsigned long long kMaxU64 = ~0ull;
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
     auto eat = [&](const char* key, std::string& out) {
@@ -85,26 +108,26 @@ bool parse(int argc, char** argv, Args& a) {
     };
     std::string v;
     if (arg == "--list") a.list = true;
+    else if (arg == "--help" || arg == "-h") a.help = true;
     else if (eat("--tool", v)) a.tool = v;
     else if (eat("--model", v)) a.model = v;
-    else if (eat("--capacity", v)) a.capacity = parse_rate(v);
-    else if (eat("--cross", v)) a.cross = parse_rate(v);
-    else if (eat("--hops", v)) a.hops = std::stoul(v);
-    else if (eat("--seed", v)) a.seed = std::stoull(v);
-    else if (eat("--loss", v)) a.loss = std::stod(v);
-    else if (eat("--skew-ppm", v)) a.skew_ppm = std::stod(v);
+    else if (eat("--capacity", v)) a.capacity = parse_rate("--capacity", v);
+    else if (eat("--cross", v)) a.cross = parse_rate("--cross", v);
+    else if (eat("--hops", v)) a.hops = parse_uint("--hops", v, 1024);
+    else if (eat("--seed", v)) a.seed = parse_uint("--seed", v, kMaxU64);
+    else if (eat("--loss", v)) a.loss = parse_real("--loss", v, 0.0, 1.0);
+    else if (eat("--skew-ppm", v))
+      a.skew_ppm = parse_real("--skew-ppm", v, -1e6, 1e6);
     else if (eat("--trace", v)) a.trace_path = v;
     else if (eat("--metrics", v)) a.metrics_path = v;
     else if (eat("--transport", v)) a.transport = v;
     else if (eat("--peer", v)) a.peer = v;
-    else if (eat("--budget", v)) a.budget = std::stoull(v);
-    else if (eat("--deadline", v)) a.deadline_s = std::stod(v);
-    else {
-      std::fprintf(stderr, "unknown flag: %s\n", arg.c_str());
-      return false;
-    }
+    else if (eat("--budget", v)) a.budget = parse_uint("--budget", v, kMaxU64);
+    else if (eat("--deadline", v))
+      a.deadline_s = parse_seconds("--deadline", v);
+    else
+      throw std::invalid_argument("unknown flag: " + arg);
   }
-  return true;
 }
 
 core::CrossModel parse_model(const std::string& m) {
@@ -123,7 +146,8 @@ int run_live(const Args& args) {
     throw std::invalid_argument("--peer must be HOST:PORT");
   net::UdpTransportConfig tcfg;
   tcfg.host = args.peer.substr(0, colon);
-  tcfg.port = static_cast<std::uint16_t>(std::stoul(args.peer.substr(colon + 1)));
+  tcfg.port = static_cast<std::uint16_t>(
+      parse_uint("--peer port", args.peer.substr(colon + 1), 65535));
   tcfg.advertise_budget_packets = args.budget;
   tcfg.advertise_deadline = sim::from_seconds(args.deadline_s);
   net::UdpTransport transport(tcfg);
@@ -183,7 +207,17 @@ int run_live(const Args& args) {
 
 int main(int argc, char** argv) {
   Args args;
-  if (!parse(argc, argv, args)) return 2;
+  try {
+    parse(argc, argv, args);
+  } catch (const std::invalid_argument& ex) {
+    std::fprintf(stderr, "abwprobe: %s\n", ex.what());
+    usage(stderr);
+    return 2;
+  }
+  if (args.help) {
+    usage(stdout);
+    return 0;
+  }
 
   if (args.list) {
     // Registry v2: the structured table, not just names.

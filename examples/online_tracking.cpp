@@ -150,7 +150,7 @@ TrackStats run_kalman(bool bursty) {
   const double rates[4] = {30e6, 40e6, 50e6, 60e6};
   int i = 0;
   auto rows = track(sc, tracker, [&] {
-    auto res = sc.session().send_stream_now(
+    auto res = sc.session().send_stream(
         probe::StreamSpec::periodic(rates[i++ % 4], 1200, 60));
     tracker.feed(res);
   });

@@ -4,22 +4,42 @@
 //
 //   ./pdes_scaling [hops] [flows_per_hop] [hybrid|packet] [domains]
 //
+// Defaults: 8 hops, 1500 flows per hop, hybrid, 4 domains.  --help prints
+// the usage; a malformed argument prints the message and the usage and
+// exits 2.
+//
 // For each thread count the run reports wall-clock time, speedup over
 // the serial run, per-domain event counts, and the cross-domain handoff
 // total — and checks that the physics (ground truth, per-link counters)
 // are bit-identical across thread counts, which is the engine's core
 // guarantee (see DESIGN.md "Intra-simulation parallelism").
 #include <cstdio>
-#include <cstdlib>
+#include <stdexcept>
 #include <string>
 
 #include "core/parallel_scenario.hpp"
 #include "runner/bench_report.hpp"
+#include "runner/cli.hpp"
 #include "sim/link.hpp"
 
 using namespace abw;
 
 namespace {
+
+void usage(std::FILE* out) {
+  std::fprintf(out,
+               "usage: pdes_scaling [hops] [flows_per_hop] [hybrid|packet] "
+               "[domains]\n");
+}
+
+// Positional argument `i` as an integer in [1, max], `fallback` when absent.
+std::size_t positive_arg(int argc, char** argv, int i, const char* name,
+                         std::size_t fallback, unsigned long long max) {
+  if (argc <= i) return fallback;
+  const unsigned long long v = runner::parse_uint(name, argv[i], max);
+  if (v == 0) throw std::invalid_argument(std::string(name) + ": must be >= 1");
+  return static_cast<std::size_t>(v);
+}
 
 struct RunResult {
   double wall_s = 0.0;
@@ -74,14 +94,30 @@ RunResult run(std::size_t hops, std::size_t flows, sim::SimMode mode,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::size_t hops = argc > 1 ? std::strtoul(argv[1], nullptr, 10) : 8;
-  const std::size_t flows =
-      argc > 2 ? std::strtoul(argv[2], nullptr, 10) : 1500;
-  const sim::SimMode mode = argc > 3 && std::string(argv[3]) == "packet"
-                                ? sim::SimMode::kPacket
-                                : sim::SimMode::kHybrid;
-  const std::size_t domains =
-      argc > 4 ? std::strtoul(argv[4], nullptr, 10) : 4;
+  for (int i = 1; i < argc; ++i)
+    if (std::string(argv[i]) == "--help" || std::string(argv[i]) == "-h") {
+      usage(stdout);
+      return 0;
+    }
+  std::size_t hops = 0, flows = 0, domains = 0;
+  sim::SimMode mode = sim::SimMode::kHybrid;
+  try {
+    if (argc > 5) throw std::invalid_argument("too many arguments");
+    hops = positive_arg(argc, argv, 1, "hops", 8, 4096);
+    flows = positive_arg(argc, argv, 2, "flows_per_hop", 1500, 1000000);
+    if (argc > 3) {
+      const std::string m = argv[3];
+      if (m == "packet") mode = sim::SimMode::kPacket;
+      else if (m != "hybrid")
+        throw std::invalid_argument("mode: expected hybrid or packet, got '" +
+                                    m + "'");
+    }
+    domains = positive_arg(argc, argv, 4, "domains", 4, 4096);
+  } catch (const std::invalid_argument& ex) {
+    std::fprintf(stderr, "pdes_scaling: %s\n", ex.what());
+    usage(stderr);
+    return 2;
+  }
 
   std::printf("Conservative parallel DES scaling demo\n");
   std::printf("  %zu hops @ 50 Mb/s, %zu flows/hop (%zu total), %s mode, "

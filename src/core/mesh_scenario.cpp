@@ -104,15 +104,12 @@ void MeshScenario::on_edge_exit(std::size_t edge, const sim::Packet& pkt) {
   }
   if (next != kDeliver) return;  // stray: not on this pair's route
 
-  auto it = active_.find(pkt.stream_id);
-  if (it == active_.end()) return;  // stream already drained
-  ActiveStream& st = it->second;
-  // ProbeSession-identical dedup/reorder semantics via the shared
-  // probe::ReceiverState (duplicates keep the first copy's timestamp).
-  probe::ProbeRecord* rec = st.recv.accept(*st.result, pkt.seq);
+  // Ids of drained batches wrap to out of range.
+  const std::uint32_t i = pkt.stream_id - batch_first_id_;
+  if (i >= batch_.size()) return;
+  probe::ProbeRecord* rec = batch_[i].accept(pkt.stream_id, pkt.seq);
   if (rec == nullptr) return;
   rec->received = sim_.now();
-  ++st.received;
   --outstanding_;
 }
 
@@ -135,31 +132,24 @@ std::vector<probe::StreamResult> MeshScenario::send_concurrent_streams(
       throw std::invalid_argument("MeshScenario: pair index out of range");
 
   const sim::SimTime start = sim_.now() + lead_in;
-  if (cost_.streams == 0) cost_.first_send = start;
 
-  // Results are sized up front: ActiveStream holds pointers into them.
+  // Results are sized up front: batch_ points into them.
   std::vector<probe::StreamResult> results(ps.size());
-  for (std::size_t i = 0; i < ps.size(); ++i) {
-    results[i].stream_id = next_stream_id_++;
-    ActiveStream st;
-    st.result = &results[i];
-    st.expected = spec.packets.size();
-    active_.emplace(results[i].stream_id, st);
-    outstanding_ += st.expected;
-  }
+  batch_first_id_ = next_stream_id_;
+  batch_.assign(ps.size(), probe::ReceiverState{});
+  outstanding_ = ps.size() * spec.packets.size();
 
   // One lazy emitter per stream, in `ps` order: each reserves its
   // stream's event sequence numbers now.  A deque never moves them.
   std::deque<probe::StreamEmitter> emitters;
   for (std::size_t i = 0; i < ps.size(); ++i) {
+    results[i].stream_id = next_stream_id_++;
     sim::Path& path0 = *edge_paths_[routes_[ps[i]].front()];
     // flow_id carries the pair index: the route key.
     emitters.emplace_back(sim_, path0, spec, start, results[i],
                           static_cast<std::uint32_t>(ps[i]));
-    ++cost_.streams;
-    cost_.packets += spec.packets.size();
-    for (const probe::ProbePacketSpec& pp : spec.packets)
-      cost_.bytes += pp.size_bytes;
+    batch_[i].begin(results[i]);
+    cost_.add_stream(spec, start);
   }
 
   // Hybrid mode: the union of the streams' route edges goes discrete for
@@ -185,11 +175,7 @@ std::vector<probe::StreamResult> MeshScenario::send_concurrent_streams(
     for (std::size_t e = 0; e < topo_.edge_count(); ++e)
       if (touched[e] && edge_paths_[e]->hybrid())
         edge_paths_[e]->close_packet_window();
-  for (const probe::StreamResult& r : results) {
-    auto it = active_.find(r.stream_id);
-    outstanding_ -= it->second.expected - it->second.received;
-    active_.erase(it);
-  }
+  batch_.clear();
   cost_.last_activity = sim_.now();
   return results;
 }

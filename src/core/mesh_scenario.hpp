@@ -25,7 +25,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <vector>
 
@@ -141,12 +140,6 @@ class MeshScenario {
 
  private:
   class EdgeExit;
-  struct ActiveStream {
-    probe::StreamResult* result = nullptr;
-    std::size_t expected = 0;
-    std::size_t received = 0;
-    probe::ReceiverState recv;  // shared dedup/reorder accounting
-  };
 
   /// Next-edge table sentinels.
   static constexpr std::int32_t kDeliver = -1;
@@ -164,8 +157,11 @@ class MeshScenario {
   // Background sources; destroyed before the paths they feed.
   CrossTraffic cross_;
   std::vector<std::vector<std::int32_t>> next_edge_;  // [edge][pair]
-  std::map<std::uint32_t, ActiveStream> active_;      // keyed by stream_id
-  std::size_t outstanding_ = 0;  // packets of active_ not yet received
+  // The batch in flight: one receiver per stream, indexed by
+  // stream_id - batch_first_id_ (a batch's ids are consecutive).
+  std::vector<probe::ReceiverState> batch_;
+  std::uint32_t batch_first_id_ = 0;
+  std::size_t outstanding_ = 0;  // packets of batch_ not yet received
   std::uint32_t next_stream_id_ = 1;
   probe::ProbeCost cost_;
 };

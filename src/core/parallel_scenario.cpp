@@ -4,45 +4,11 @@
 #include <stdexcept>
 #include <string>
 
-#include "probe/receiver_state.hpp"
 #include "probe/stream_emitter.hpp"
 #include "runner/batch.hpp"
 #include "stats/rng.hpp"
 
 namespace abw::core {
-
-// Same dedup/reorder semantics as probe::ProbeSession::on_probe, minus
-// the receiver clock model: the shared probe::ReceiverState does the
-// accounting (duplicates keep the first copy's timestamp, a first arrival
-// behind a higher seq counts as reordered).
-class ParallelScenario::Receiver final : public sim::PacketHandler {
- public:
-  explicit Receiver(sim::Simulator& sim) : sim_(sim) {}
-
-  void begin_stream(probe::StreamResult* r) {
-    active_ = r;
-    received_ = 0;
-    recv_.reset();
-  }
-  void end_stream() { active_ = nullptr; }
-  std::size_t received() const { return received_; }
-
-  void handle(sim::Packet pkt) override {
-    if (active_ == nullptr || pkt.type != sim::PacketType::kProbe ||
-        pkt.stream_id != active_->stream_id)
-      return;
-    probe::ProbeRecord* rec = recv_.accept(*active_, pkt.seq);
-    if (rec == nullptr) return;
-    rec->received = sim_.now();
-    ++received_;
-  }
-
- private:
-  sim::Simulator& sim_;  // the final domain's simulator (arrival clock)
-  probe::StreamResult* active_ = nullptr;
-  std::size_t received_ = 0;
-  probe::ReceiverState recv_;
-};
 
 ParallelScenario::ParallelScenario(const ParallelScenarioConfig& cfg)
     : cfg_(cfg) {
@@ -107,14 +73,17 @@ ParallelScenario::ParallelScenario(const ParallelScenarioConfig& cfg)
     }
   }
 
-  receiver_ = std::make_unique<Receiver>(
-      ppath_->domain(ppath_->domain_count() - 1).simulator());
-  ppath_->set_receiver(receiver_.get());
+  // Arrivals are stamped on the final domain's clock.
+  sim::Simulator* last = &ppath_->domain(ppath_->domain_count() - 1).simulator();
+  sink_.set_on_packet([this, last](const sim::Packet& pkt) {
+    if (pkt.type != sim::PacketType::kProbe) return;
+    if (probe::ProbeRecord* rec = recv_.accept(pkt.stream_id, pkt.seq))
+      rec->received = last->now();
+  });
+  ppath_->set_receiver(&sink_);
   nominal_avail_bw_ = cfg.capacity_bps - hop_load;
   ppath_->run_until(cfg.warmup);
 }
-
-ParallelScenario::~ParallelScenario() = default;
 
 probe::StreamResult ParallelScenario::send_periodic_stream(
     double rate_bps, std::uint32_t size, std::size_t count,
@@ -128,7 +97,7 @@ probe::StreamResult ParallelScenario::send_periodic_stream(
   probe::StreamEmitter emitter(ppath_->domain(0).simulator(),
                                ppath_->domain(0).path(), spec, start, result);
 
-  receiver_->begin_stream(&result);
+  recv_.begin(result);
 
   // Hybrid mode: every domain's sources go discrete while the stream can
   // be in flight anywhere on the path (same guard as ProbeSession).
@@ -144,14 +113,12 @@ probe::StreamResult ParallelScenario::send_periodic_stream(
 
   const sim::SimTime deadline =
       start + spec.packets.back().offset + 2 * sim::kSecond;
-  Receiver* rx = receiver_.get();
-  ppath_->run_until_condition(deadline,
-                              [rx, count] { return rx->received() >= count; });
+  ppath_->run_until_condition(deadline, [this] { return recv_.complete(); });
 
   if (hybrid)
     for (std::size_t d = 0; d < ppath_->domain_count(); ++d)
       ppath_->domain(d).path().close_packet_window();
-  receiver_->end_stream();
+  recv_.end();
   return result;
 }
 

@@ -22,10 +22,9 @@
 //
 // Probing: ParallelScenario drives its own streams (probe::ProbeSession
 // is bound to a single Simulator).  A probe::StreamEmitter sends into
-// domain 0; a recording receiver on the final domain fills a
-// probe::StreamResult with the same dedup/reorder semantics as
-// ProbeSession (minus receiver clock noise, which is orthogonal to the
-// engine under test).
+// domain 0; a sink on the final domain fills the probe::StreamResult
+// through the same probe::ReceiverState as ProbeSession (minus receiver
+// clock noise, which is orthogonal to the engine under test).
 #pragma once
 
 #include <cstdint>
@@ -34,9 +33,11 @@
 
 #include "core/scenario.hpp"
 #include "obs/metrics.hpp"
+#include "probe/receiver_state.hpp"
 #include "probe/stream_result.hpp"
 #include "probe/stream_spec.hpp"
 #include "sim/domain.hpp"
+#include "sim/node.hpp"
 #include "sim/partition.hpp"
 
 namespace abw::core {
@@ -77,7 +78,6 @@ struct ParallelScenarioConfig {
 class ParallelScenario {
  public:
   explicit ParallelScenario(const ParallelScenarioConfig& cfg);
-  ~ParallelScenario();  // out of line: Receiver is incomplete here
 
   ParallelScenario(const ParallelScenario&) = delete;
   ParallelScenario& operator=(const ParallelScenario&) = delete;
@@ -111,12 +111,11 @@ class ParallelScenario {
   void snapshot_metrics(obs::MetricsRegistry& m) const;
 
  private:
-  class Receiver;
-
   ParallelScenarioConfig cfg_;
   std::unique_ptr<sim::ParallelPath> ppath_;
   CrossTraffic cross_;
-  std::unique_ptr<Receiver> receiver_;
+  sim::CountingSink sink_;    // the path's receiver, on the final domain
+  probe::ReceiverState recv_;  // the stream in flight
   double nominal_avail_bw_ = 0.0;
   std::uint32_t next_stream_id_ = 1;
 };

@@ -74,7 +74,7 @@ Estimate Bfind::do_estimate(probe::Transport& transport) {
             delays_ms[h].push_back(sim::to_millis(path.link(h).current_delay()));
         });
       }
-      session->send_stream(spec, step_start);
+      session->send_stream(spec, step_start - sim.now());
       // Ensure all samplers fired even if the stream drained early.
       sim.run_until(step_start + cfg_.step_duration);
 

@@ -143,19 +143,10 @@ class Estimator {
   virtual ~Estimator() = default;
 
   /// Runs the technique to completion over any measurement substrate —
-  /// simulated (probe::SimTransport) or live (net::UdpTransport) —
+  /// simulated (probe::ProbeSession) or live (net::UdpTransport) —
   /// advancing the transport's clock as real tools consume wall-clock
   /// time, and returns its estimate.
   Estimate estimate(probe::Transport& transport);
-
-  /// Deprecated convenience: runs over a simulated session by wrapping it
-  /// in a SimTransport — bit-identical to the transport overload.  Kept
-  /// so pre-transport callers compile unchanged; prefer
-  /// estimate(Transport&).
-  Estimate estimate(probe::ProbeSession& session) {
-    probe::SimTransport transport(session);
-    return estimate(transport);
-  }
 
   /// Tool name, e.g. "pathload".
   virtual std::string_view name() const = 0;

@@ -39,11 +39,23 @@ Estimate Spruce::do_estimate(probe::Transport& transport) {
       sim::transmission_time(cfg_.packet_size, cfg_.tight_capacity_bps));
 
   std::size_t pairs_lost = 0;
+  std::size_t pairs_mispaced = 0;
   for (std::size_t p = 0; p + 1 < res.packets.size(); p += 2) {
     const probe::ProbeRecord& a = res.packets[p];
     const probe::ProbeRecord& b = res.packets[p + 1];
     if (a.lost || b.lost) {
       ++pairs_lost;
+      continue;
+    }
+    // A sender that could not keep the planned gap (a loaded or
+    // instrumented host) did not probe at Ct, so the sample formula does
+    // not apply: an idle path would read as A = 0.  The slack keeps
+    // timer overshoots of a few ns from discarding half the pairs;
+    // simulated sends keep the planned gap exactly.
+    const sim::SimTime planned =
+        spec.packets[p + 1].offset - spec.packets[p].offset;
+    if (b.sent - a.sent > planned + planned / 10) {
+      ++pairs_mispaced;
       continue;
     }
     double gout = sim::to_seconds(b.received - a.received);
@@ -52,19 +64,19 @@ Estimate Spruce::do_estimate(probe::Transport& transport) {
     samples_.push_back(std::clamp(sample, 0.0, cfg_.tight_capacity_bps));
   }
 
+  Estimate e;
   if (samples_.empty()) {
-    Estimate e = Estimate::aborted(AbortReason::kInsufficientData,
-                                   "spruce: all pairs lost");
-    e.diag("pairs_used", 0.0);
-    e.diag("pairs_lost", static_cast<double>(pairs_lost));
-    e.cost = transport.cost();
-    return e;
+    e = Estimate::aborted(AbortReason::kInsufficientData,
+                          pairs_mispaced > 0 ? "spruce: no pair kept its gap"
+                                             : "spruce: all pairs lost");
+  } else {
+    e = Estimate::point(stats::mean(samples_));
+    e.detail = "pairs=" + std::to_string(samples_.size());
   }
-  Estimate e = Estimate::point(stats::mean(samples_));
   e.cost = transport.cost();
-  e.detail = "pairs=" + std::to_string(samples_.size());
   e.diag("pairs_used", static_cast<double>(samples_.size()));
   e.diag("pairs_lost", static_cast<double>(pairs_lost));
+  e.diag("pairs_mispaced", static_cast<double>(pairs_mispaced));
   return e;
 }
 

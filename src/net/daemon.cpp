@@ -37,7 +37,7 @@ constexpr std::uint32_t kMaxStreamPackets = 1u << 20;
 struct Daemon::Impl {
   struct Stream {
     probe::StreamResult result;
-    probe::ReceiverState recv;
+    probe::ReceiverState recv;  // fills `result`; a map node never moves
   };
 
   struct Session {
@@ -135,18 +135,31 @@ struct Daemon::Impl {
     send_to(peer, ack, nullptr, 0);
   }
 
+  // The session `h` names, when `peer` is the address that opened it;
+  // nullptr otherwise.  mu held by the caller.
+  Session* find_session(const sockaddr_in& peer, const WireHeader& h) {
+    auto it = sessions.find(h.session_id);
+    if (it == sessions.end() ||
+        it->second.peer.sin_addr.s_addr != peer.sin_addr.s_addr ||
+        it->second.peer.sin_port != peer.sin_port)
+      return nullptr;
+    return &it->second;
+  }
+
   // Returns the session for `h`, enforcing the advertised limits; sends
   // the kAbort (once) and returns nullptr when the session is over
-  // budget/deadline or unknown.  mu held by the caller.
+  // budget/deadline.  A session id from any other peer than the one that
+  // opened it is unknown to that peer: it gets a kUnknownSession abort and
+  // the session is left untouched.  mu held by the caller.
   Session* admit(const sockaddr_in& peer, const WireHeader& h,
                  std::int64_t stamp_ns, std::uint64_t probe_cost) {
-    auto it = sessions.find(h.session_id);
-    if (it == sessions.end()) {
+    Session* found = find_session(peer, h);
+    if (found == nullptr) {
       send_control(peer, MsgType::kAbort, h.session_id,
                    AbortCode::kUnknownSession);
       return nullptr;
     }
-    Session& s = it->second;
+    Session& s = *found;
     s.last_activity_ns = stamp_ns;
     if (s.aborted) return nullptr;
     AbortCode code = AbortCode::kNone;
@@ -178,7 +191,7 @@ struct Daemon::Impl {
       return;
     }
     Stream& st = find_or_open_stream(*s, h);
-    probe::ProbeRecord* rec = st.recv.accept(st.result, h.seq);
+    probe::ProbeRecord* rec = st.recv.accept(h.stream_id, h.seq);
     if (rec == nullptr) return;  // duplicate (counted) or out of range
     rec->size_bytes = static_cast<std::uint32_t>(datagram_len);
     rec->sent = static_cast<sim::SimTime>(h.t_ns);
@@ -219,6 +232,7 @@ struct Daemon::Impl {
       st.result.packets[i].seq = i;
       st.result.packets[i].lost = true;
     }
+    st.recv.begin(st.result);
     while (s.streams.size() > std::max<std::size_t>(cfg.max_streams_kept, 1)) {
       auto victim = s.streams.begin();
       if (victim == it) ++victim;
@@ -268,12 +282,12 @@ struct Daemon::Impl {
     emit("report", "sent", s.id, st.result.stream_id, records.size());
   }
 
-  void on_bye(const WireHeader& h) {
+  void on_bye(const sockaddr_in& peer, const WireHeader& h) {
     std::lock_guard<std::mutex> lock(mu);
-    auto it = sessions.find(h.session_id);
-    if (it == sessions.end()) return;
-    emit("bye", "closed", h.session_id, 0, it->second.packets_seen);
-    sessions.erase(it);
+    Session* s = find_session(peer, h);
+    if (s == nullptr) return;
+    emit("bye", "closed", h.session_id, 0, s->packets_seen);
+    sessions.erase(h.session_id);
   }
 
   void expire_sessions(std::int64_t now) {
@@ -302,7 +316,7 @@ struct Daemon::Impl {
       case MsgType::kHello: on_hello(peer, h, stamp_ns); break;
       case MsgType::kProbe: on_probe(peer, h, len, stamp_ns); break;
       case MsgType::kStreamEnd: on_stream_end(peer, h, stamp_ns); break;
-      case MsgType::kBye: on_bye(h); break;
+      case MsgType::kBye: on_bye(peer, h); break;
       default: {
         // Client-bound types arriving here are stray reflections; drop.
         std::lock_guard<std::mutex> lock(mu);

@@ -12,7 +12,9 @@
 // server-side — a session over budget/deadline gets a kAbort and its
 // probes are dropped — so a misbehaving client cannot probe harder than
 // it declared (the paper's intrusiveness concern, applied to the tool
-// itself).
+// itself).  Each session is bound to the address and port that opened
+// it: datagrams naming its id from anywhere else are answered with a
+// kUnknownSession abort and never touch it.
 //
 // Receive timestamps come from SO_TIMESTAMPNS when the socket supports
 // it (kernel stamp at softirq time, before scheduling delay), falling

@@ -130,14 +130,11 @@ probe::StreamResult UdpTransport::send_stream(const probe::StreamSpec& spec,
   result.packets.resize(spec.packets.size());
   auto stream_count = static_cast<std::uint32_t>(spec.packets.size());
 
-  if (cost_.streams == 0) cost_.first_send = now() + lead_in;
-  ++cost_.streams;
+  cost_.add_stream(spec, now() + lead_in);
   for (std::size_t i = 0; i < spec.packets.size(); ++i) {
     result.packets[i].seq = static_cast<std::uint32_t>(i);
     result.packets[i].size_bytes = spec.packets[i].size_bytes;
     result.packets[i].lost = true;
-    ++cost_.packets;
-    cost_.bytes += spec.packets[i].size_bytes;
   }
 
   if (!ensure_session()) {

@@ -15,27 +15,22 @@ ProbeSession::ProbeSession(sim::Simulator& sim, sim::Path& path)
   path_.set_receiver(&demux_);
 }
 
-StreamResult ProbeSession::send_stream(const StreamSpec& spec, sim::SimTime start) {
+StreamResult ProbeSession::send_stream(const StreamSpec& spec,
+                                       sim::SimTime lead_in) {
   if (spec.packets.empty())
     throw std::invalid_argument("ProbeSession: empty stream");
-  if (start < sim_.now())
-    throw std::invalid_argument("ProbeSession: start in the past");
-  if (active_ != nullptr)
+  if (lead_in < 0)
+    throw std::invalid_argument("ProbeSession: negative lead-in");
+  if (recv_.result != nullptr)
     throw std::logic_error("ProbeSession: a stream is already in flight");
 
+  const sim::SimTime start = sim_.now() + lead_in;
   StreamResult result;
   result.stream_id = next_stream_id_++;
-
-  if (cost_.streams == 0) cost_.first_send = start;
-  ++cost_.streams;
-  cost_.packets += spec.packets.size();
-  for (const ProbePacketSpec& ps : spec.packets) cost_.bytes += ps.size_bytes;
+  cost_.add_stream(spec, start);
 
   StreamEmitter emitter(sim_, path_, spec, start, result);
-
-  active_ = &result;
-  received_ = 0;
-  recv_.reset();
+  recv_.begin(result);
 
   if (trace_) {
     obs::TraceEvent e;
@@ -57,12 +52,11 @@ StreamResult ProbeSession::send_stream(const StreamSpec& spec, sim::SimTime star
   }
 
   sim::SimTime deadline = start + spec.packets.back().offset + drain_timeout_;
-  std::size_t want = spec.packets.size();
-  sim_.run_until_condition(deadline, [this, want] { return received_ >= want; });
+  sim_.run_until_condition(deadline, [this] { return recv_.complete(); });
 
   if (hybrid) path_.close_packet_window();
 
-  active_ = nullptr;
+  recv_.end();
   cost_.last_activity = sim_.now();
 
   if (trace_) {
@@ -71,7 +65,7 @@ StreamResult ProbeSession::send_stream(const StreamSpec& spec, sim::SimTime star
     e.time = sim_.now();
     e.source = "session";
     e.stream_id = result.stream_id;
-    e.count = received_;
+    e.count = recv_.received;
     e.seq = result.duplicate_count;        // schema: "dup"
     e.size_bytes = result.reordered_count; // schema: "reordered"
     trace_->emit(e);
@@ -84,15 +78,9 @@ void ProbeSession::set_drain_timeout(sim::SimTime t) {
   drain_timeout_ = t;
 }
 
-StreamResult ProbeSession::send_stream_now(const StreamSpec& spec,
-                                           sim::SimTime lead_in) {
-  return send_stream(spec, sim_.now() + lead_in);
-}
-
 void ProbeSession::on_probe(const sim::Packet& pkt, sim::SimTime now) {
-  if (active_ == nullptr || pkt.stream_id != active_->stream_id) return;  // stale
-  ProbeRecord* rec = recv_.accept(*active_, pkt.seq);
-  if (rec == nullptr) return;  // out of range, or duplicate (counted)
+  ProbeRecord* rec = recv_.accept(pkt.stream_id, pkt.seq);
+  if (rec == nullptr) return;  // stale, out of range, or duplicate (counted)
   // Timestamp against the (possibly unsynchronized, noisy) receiver clock.
   sim::SimTime stamp =
       now + clock_.offset +
@@ -103,7 +91,6 @@ void ProbeSession::on_probe(const sim::Packet& pkt, sim::SimTime now) {
   if (clock_.quantization > 0)
     stamp -= stamp % clock_.quantization;  // round down to clock ticks
   rec->received = stamp;
-  ++received_;
 }
 
 }  // namespace abw::probe

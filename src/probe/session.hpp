@@ -1,37 +1,25 @@
 // ProbeSession: sender + receiver of probing streams over a simulated
-// path.  This is the substrate every estimation technique in est/ runs
-// on: an estimator asks the session to send a stream and gets back the
-// receiver's measurements, exactly like a real tool's sender/receiver
-// processes cooperating over a network — minus clock skew, which the
-// simulator removes by construction (see DESIGN.md substitutions).
+// path, and the simulated probe::Transport.  This is the substrate every
+// estimation technique in est/ runs on in simulation: an estimator asks
+// the session to send a stream and gets back the receiver's measurements,
+// exactly like a real tool's sender/receiver processes cooperating over a
+// network — minus clock skew, which the simulator removes by construction
+// (see DESIGN.md substitutions).
 #pragma once
 
 #include <cstdint>
-#include <optional>
 
 #include "obs/trace.hpp"
 #include "probe/receiver_state.hpp"
 #include "probe/stream_result.hpp"
 #include "probe/stream_spec.hpp"
+#include "probe/transport.hpp"
 #include "sim/node.hpp"
 #include "sim/path.hpp"
 #include "sim/simulator.hpp"
 #include "stats/rng.hpp"
 
 namespace abw::probe {
-
-/// Per-session probing totals — the overhead/intrusiveness side of the
-/// paper's latency-vs-accuracy tradeoff.
-struct ProbeCost {
-  std::uint64_t streams = 0;
-  std::uint64_t packets = 0;
-  std::uint64_t bytes = 0;
-  sim::SimTime first_send = 0;
-  sim::SimTime last_activity = 0;
-
-  /// Wall-clock measurement latency so far.
-  sim::SimTime elapsed() const { return last_activity - first_send; }
-};
 
 /// Receiver clock model: real tools never have a synchronized receiver.
 /// OWDs measured against this clock carry a constant offset plus a slow
@@ -51,25 +39,33 @@ struct ReceiverClock {
 /// receive timestamps.  Installs itself as the path receiver via an
 /// internal TypeDemux (exposed so other endpoints, e.g. TCP sinks, can
 /// share the path).
-class ProbeSession {
+class ProbeSession final : public Transport {
  public:
   ProbeSession(sim::Simulator& sim, sim::Path& path);
 
   ProbeSession(const ProbeSession&) = delete;
   ProbeSession& operator=(const ProbeSession&) = delete;
 
-  /// Sends one stream starting at `start` (absolute sim time, >= now) and
-  /// runs the simulation until every packet arrived or has been given
+  /// Sends one stream starting `lead_in` (>= 0) after now and runs the
+  /// simulation until every packet arrived or has been given
   /// `drain_timeout` after the last send to arrive (covers queueing and
   /// losses).  Returns the receiver's measurements.
-  StreamResult send_stream(const StreamSpec& spec, sim::SimTime start);
+  StreamResult send_stream(const StreamSpec& spec,
+                           sim::SimTime lead_in = sim::kMillisecond) override;
 
-  /// Convenience: sends starting `lead_in` after now.
-  StreamResult send_stream_now(const StreamSpec& spec,
-                               sim::SimTime lead_in = sim::kMillisecond);
+  /// Simulated time.
+  sim::SimTime now() override { return sim_.now(); }
+
+  /// Runs the simulation for `duration`.
+  void wait(sim::SimTime duration) override {
+    sim_.run_until(sim_.now() + duration);
+  }
 
   /// Measurement overhead accumulated so far.
-  const ProbeCost& cost() const { return cost_; }
+  const ProbeCost& cost() const override { return cost_; }
+
+  std::string_view kind() const override { return "sim"; }
+  ProbeSession* sim_session() override { return this; }
 
   /// The shared end-host demux (register TCP handlers here if needed).
   sim::TypeDemux& demux() { return demux_; }
@@ -116,10 +112,7 @@ class ProbeSession {
   obs::TraceSink* trace_ = nullptr;   ///< not owned; nullptr = tracing off
 
   std::uint32_t next_stream_id_ = 1;
-  // In-flight stream state (one stream at a time, like real tools).
-  StreamResult* active_ = nullptr;
-  std::size_t received_ = 0;
-  ReceiverState recv_;  // shared dedup/reorder accounting
+  ReceiverState recv_;  // the stream in flight (one at a time, like real tools)
 
   ProbeCost cost_;
 };

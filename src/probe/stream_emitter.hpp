@@ -1,5 +1,6 @@
 // StreamEmitter: the one send loop behind every simulated probe stream
-// (ProbeSession, MeshScenario, ParallelScenario).
+// (ProbeSession — the simulated Transport — MeshScenario and
+// ParallelScenario); probe::ReceiverState is the matching receive path.
 #pragma once
 
 #include <cstddef>

@@ -1,7 +1,9 @@
 #include "runner/cli.hpp"
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -11,14 +13,9 @@ namespace abw::runner {
 namespace {
 
 std::size_t parse_positive(const std::string& s, const char* what) {
-  std::size_t pos = 0;
-  unsigned long long v = 0;
-  try {
-    v = std::stoull(s, &pos);
-  } catch (const std::exception&) {
-    throw std::invalid_argument(std::string(what) + ": not a number: " + s);
-  }
-  if (pos != s.size() || v == 0)
+  const unsigned long long v =
+      parse_uint(what, s, std::numeric_limits<std::size_t>::max());
+  if (v == 0)
     throw std::invalid_argument(std::string(what) + ": want a positive integer, got: " + s);
   return static_cast<std::size_t>(v);
 }
@@ -64,6 +61,42 @@ std::string parse_string_flag(int argc, char** argv, const std::string& name,
     }
   }
   return fallback;
+}
+
+unsigned long long parse_uint(const char* flag, const std::string& v,
+                              unsigned long long max) {
+  std::size_t used = 0;
+  unsigned long long n = 0;
+  try {
+    if (!v.empty() && v[0] >= '0' && v[0] <= '9') n = std::stoull(v, &used);
+  } catch (const std::exception&) {
+    used = 0;  // out of range
+  }
+  if (used == 0 || used != v.size() || n > max)
+    throw std::invalid_argument(std::string(flag) + ": expected an integer in [0, " +
+                                std::to_string(max) + "], got '" + v + "'");
+  return n;
+}
+
+double parse_real(const char* flag, const std::string& v, double lo, double hi) {
+  std::size_t used = 0;
+  double x = 0.0;
+  try {
+    x = std::stod(v, &used);
+  } catch (const std::exception&) {
+    used = 0;
+  }
+  if (used == 0 || used != v.size() || !std::isfinite(x) || x < lo || x > hi) {
+    char range[64];
+    std::snprintf(range, sizeof(range), "[%g, %g]", lo, hi);
+    throw std::invalid_argument(std::string(flag) + ": expected a number in " +
+                                range + ", got '" + v + "'");
+  }
+  return x;
+}
+
+double parse_seconds(const char* flag, const std::string& v) {
+  return parse_real(flag, v, 0.0, 1e9);
 }
 
 std::size_t jobs_from_cli(int argc, char** argv) {

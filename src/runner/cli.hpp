@@ -1,7 +1,7 @@
-// Shared CLI helpers for the parallel benches and examples: one home for
-// the `--jobs N` / `--jobs=N` / `-j N` flag and the ABW_JOBS environment
-// variable, so every binary parses them identically (PR 1 grew three
-// drifting copies of this logic).
+// Shared CLI helpers for the benches and examples: one home for the
+// `--jobs N` / `--jobs=N` / `-j N` flag, the ABW_JOBS environment
+// variable, and strict number parsing, so every binary parses them
+// identically and a malformed value is an error message, not an abort.
 #pragma once
 
 #include <cstddef>
@@ -30,5 +30,18 @@ std::size_t jobs_from_cli(int argc, char** argv);
 /// observability flags (`--trace=FILE`, `--metrics=FILE`).
 std::string parse_string_flag(int argc, char** argv, const std::string& name,
                               const std::string& fallback);
+
+/// The whole of `v` as an integer in [0, max]; throws
+/// std::invalid_argument naming `flag` otherwise (std::stoul alone
+/// accepts "12abc", wraps "-1", and throws messages naming no flag).
+unsigned long long parse_uint(const char* flag, const std::string& v,
+                              unsigned long long max);
+
+/// The whole of `v` as a finite number in [lo, hi]; throws
+/// std::invalid_argument naming `flag` otherwise.
+double parse_real(const char* flag, const std::string& v, double lo, double hi);
+
+/// parse_real over [0, 1e9]: a duration in seconds.
+double parse_seconds(const char* flag, const std::string& v);
 
 }  // namespace abw::runner

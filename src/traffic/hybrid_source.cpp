@@ -74,7 +74,7 @@ void HybridCrossSource::sync(sim::SimTime t) {
 void HybridCrossSource::open_window(sim::SimTime start) {
   // window_end_ must stay untouched until the window actually begins:
   // sessions announce the next stream right after the previous one ends
-  // (e.g. send_stream_now with a long lead-in), and wiping it eagerly
+  // (e.g. a send_stream with a long lead-in), and wiping it eagerly
   // would block the PACKET -> FLUID resume for the whole idle gap — the
   // source would stay discrete for the rest of the run.
   sim::SimTime when = start > sim_.now() ? start : sim_.now();

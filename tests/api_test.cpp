@@ -26,10 +26,10 @@ TEST(Api, ProbeCostElapsedSpansFirstToLastActivity) {
   cfg.model = core::CrossModel::kCbr;
   auto sc = core::Scenario::single_hop(cfg);
   EXPECT_EQ(sc.session().cost().streams, 0u);
-  sc.session().send_stream_now(probe::StreamSpec::periodic(10e6, 1500, 10));
+  sc.session().send_stream(probe::StreamSpec::periodic(10e6, 1500, 10));
   sim::SimTime first = sc.session().cost().first_send;
   sc.simulator().run_until(sc.simulator().now() + kSecond);
-  sc.session().send_stream_now(probe::StreamSpec::periodic(10e6, 1500, 10));
+  sc.session().send_stream(probe::StreamSpec::periodic(10e6, 1500, 10));
   const auto& cost = sc.session().cost();
   EXPECT_EQ(cost.first_send, first);  // unchanged by later streams
   EXPECT_GT(cost.elapsed(), kSecond);
@@ -79,7 +79,7 @@ TEST(Api, CrossAvailBwNeverBelowTotalAvailBw) {
   core::SingleHopConfig cfg;
   cfg.model = core::CrossModel::kPoisson;
   auto sc = core::Scenario::single_hop(cfg);
-  sc.session().send_stream_now(probe::StreamSpec::periodic(40e6, 1500, 200));
+  sc.session().send_stream(probe::StreamSpec::periodic(40e6, 1500, 200));
   sim::SimTime now = sc.simulator().now();
   double total = sc.path().avail_bw(now - kSecond, now);
   double cross_only = sc.path().cross_avail_bw(now - kSecond, now);

@@ -106,7 +106,7 @@ TEST(Corner, ProbingAboveCapacityDrainsAtCapacity) {
   core::SingleHopConfig cfg;
   cfg.model = core::CrossModel::kCbr;
   auto sc = core::Scenario::single_hop(cfg);
-  auto res = sc.session().send_stream_now(
+  auto res = sc.session().send_stream(
       probe::StreamSpec::periodic(80e6, 1500, 200));
   // The stream floods a 50 Mb/s link while CBR cross claims 25: probe
   // share is bounded by C - Rc ... C depending on queue contention.
@@ -219,7 +219,7 @@ TEST(Corner, TinyQueueTurnsCongestionIntoLoss) {
   cfg.model = core::CrossModel::kCbr;
   cfg.queue_limit_bytes = 6 * 1500;
   auto sc = core::Scenario::single_hop(cfg);
-  auto res = sc.session().send_stream_now(
+  auto res = sc.session().send_stream(
       probe::StreamSpec::periodic(45e6, 1500, 300));
   EXPECT_GT(res.lost_count(), 0u);
   est::PathloadConfig pc;

@@ -179,7 +179,7 @@ TEST(ClockNoise, QuantizationRoundsTimestamps) {
   probe::ReceiverClock clock;
   clock.quantization = 10 * sim::kMicrosecond;
   sc.session().set_receiver_clock(clock);
-  auto res = sc.session().send_stream_now(probe::StreamSpec::periodic(20e6, 1500, 50));
+  auto res = sc.session().send_stream(probe::StreamSpec::periodic(20e6, 1500, 50));
   for (const auto& p : res.packets) {
     if (p.lost) continue;
     EXPECT_EQ(p.received % (10 * sim::kMicrosecond), 0);
@@ -195,7 +195,7 @@ TEST(ClockNoise, JitterWidensOwdSpreadButTrendSurvives) {
     probe::ReceiverClock clock;
     clock.jitter_std_seconds = jitter;
     sc.session().set_receiver_clock(clock);
-    auto res = sc.session().send_stream_now(
+    auto res = sc.session().send_stream(
         probe::StreamSpec::periodic(rate, 1500, 200));
     return std::make_pair(stats::stddev(res.owds_seconds()),
                           stats::combined_trend(res.owds_seconds()));

@@ -169,7 +169,7 @@ TEST(LinkLoss, ProbeStreamsReportLosses) {
   sim::Path path(simu, {cfg});
   probe::ProbeSession session(simu, path);
   session.set_drain_timeout(200 * kMillisecond);
-  auto res = session.send_stream_now(probe::StreamSpec::periodic(20e6, 1500, 400));
+  auto res = session.send_stream(probe::StreamSpec::periodic(20e6, 1500, 400));
   EXPECT_GT(res.lost_count(), 0u);
   EXPECT_LT(res.lost_count(), 100u);  // ~20 expected
   EXPECT_GT(res.output_rate_bps(), 0.0);
@@ -212,7 +212,7 @@ TEST(ReceiverClock, ConstantOffsetInflatesOwdsNotTrends) {
   clock.offset = 500 * kMillisecond;  // half a second of clock error
   sc.session().set_receiver_clock(clock);
 
-  auto res = sc.session().send_stream_now(probe::StreamSpec::periodic(20e6, 1500, 100));
+  auto res = sc.session().send_stream(probe::StreamSpec::periodic(20e6, 1500, 100));
   auto owds = res.owds_seconds();
   EXPECT_GT(owds.front(), 0.5);  // absolute OWDs absorb the offset...
   auto rel = res.relative_owds_ms();
@@ -230,10 +230,10 @@ TEST(ReceiverClock, DriftIsNegligibleWithinOneStream) {
   clock.drift_ppm = 100.0;
   sc.session().set_receiver_clock(clock);
 
-  auto below = sc.session().send_stream_now(probe::StreamSpec::periodic(20e6, 1500, 150));
+  auto below = sc.session().send_stream(probe::StreamSpec::periodic(20e6, 1500, 150));
   EXPECT_NE(stats::combined_trend(below.owds_seconds()),
             stats::Trend::kIncreasing);
-  auto above = sc.session().send_stream_now(probe::StreamSpec::periodic(40e6, 1500, 150));
+  auto above = sc.session().send_stream(probe::StreamSpec::periodic(40e6, 1500, 150));
   EXPECT_EQ(stats::combined_trend(above.owds_seconds()),
             stats::Trend::kIncreasing);
 }
@@ -250,7 +250,7 @@ TEST(ReceiverClock, DriftAccumulatesAcrossStreamsAndDetrends) {
 
   std::vector<double> baselines;
   for (int i = 0; i < 40; ++i) {
-    auto res = sc.session().send_stream_now(
+    auto res = sc.session().send_stream(
         probe::StreamSpec::periodic(10e6, 1500, 20), 100 * kMillisecond);
     auto owds = res.owds_seconds();
     if (!owds.empty()) baselines.push_back(stats::median(owds));

@@ -367,7 +367,7 @@ TEST(HybridScenario, ProbedAgreementSweep) {
         double sum = 0.0;
         std::size_t n = 0;
         for (int s = 0; s < 10; ++s) {
-          probe::StreamResult r = sc.session().send_stream_now(spec);
+          probe::StreamResult r = sc.session().send_stream(spec);
           for (const auto& p : r.packets) {
             if (p.lost) continue;
             sum += sim::to_seconds(p.received - p.sent);
@@ -401,7 +401,7 @@ TEST(HybridScenario, MultiHopProbedAgreement) {
     auto sc = core::Scenario::multi_hop(mc);
     probe::StreamSpec spec = probe::StreamSpec::periodic(10e6, 1000, 20);
     for (int s = 0; s < 5; ++s) {
-      sc.session().send_stream_now(spec);
+      sc.session().send_stream(spec);
       sc.simulator().run_until(sc.simulator().now() + 300 * kMillisecond);
     }
     truth[mi++] = sc.ground_truth(2 * kSecond, sc.simulator().now());
@@ -443,7 +443,7 @@ TEST(HybridScenario, DeterministicAcrossRuns) {
     probe::StreamSpec spec = probe::StreamSpec::periodic(20e6, 1200, 30);
     std::uint64_t got = 0;
     for (int s = 0; s < 5; ++s) {
-      probe::StreamResult r = sc.session().send_stream_now(spec);
+      probe::StreamResult r = sc.session().send_stream(spec);
       got += r.packets.size() - r.lost_count();
       sc.simulator().run_until(sc.simulator().now() + 100 * kMillisecond);
     }

@@ -117,7 +117,7 @@ TEST(StreamResultReorder, FaultInjectedReorderingStillYieldsARate) {
   faults.reorder_extra_max = 2 * kMillisecond;
   sc.path().link(0).set_faults(faults);
 
-  auto res = sc.session().send_stream_now(
+  auto res = sc.session().send_stream(
       probe::StreamSpec::periodic(30e6, 1200, 100));
   ASSERT_GT(res.reordered_count, 0u);  // p=0.5 over 100 packets
   EXPECT_GT(res.output_rate_bps(), 0.0);
@@ -191,7 +191,7 @@ TEST(StreamResultProperty, FaultInjectedScenarioStreamsHoldInvariants) {
   sc.path().link(0).set_faults(faults);
 
   for (double rate : {10e6, 30e6, 60e6, 90e6}) {
-    auto res = sc.session().send_stream_now(
+    auto res = sc.session().send_stream(
         probe::StreamSpec::periodic(rate, 1200, 80));
     check_invariants(res);
   }

@@ -400,8 +400,7 @@ std::uint64_t run_hybrid_scenario(bool vectorized) {
   Digest d;
   for (int k = 0; k < 6; ++k) {
     auto spec = probe::StreamSpec::periodic(15e6 + 4e6 * k, 1500, 60);
-    auto res =
-        sc.session().send_stream(spec, sc.simulator().now() + sim::kMillisecond);
+    auto res = sc.session().send_stream(spec, sim::kMillisecond);
     digest_stream(d, res);
     d.f64(res.output_rate_bps());
   }

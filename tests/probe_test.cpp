@@ -154,7 +154,7 @@ struct SessionFixture {
 
 TEST(Session, IdlePathDeliversAtLineRate) {
   SessionFixture f;
-  auto res = f.session.send_stream_now(probe::StreamSpec::periodic(40e6, 1500, 50));
+  auto res = f.session.send_stream(probe::StreamSpec::periodic(40e6, 1500, 50));
   EXPECT_TRUE(res.complete());
   EXPECT_NEAR(res.input_rate_bps(), 40e6, 40e6 * 0.01);
   // No cross traffic: output rate equals input rate.
@@ -167,8 +167,8 @@ TEST(Session, IdlePathDeliversAtLineRate) {
 
 TEST(Session, CostAccumulates) {
   SessionFixture f;
-  f.session.send_stream_now(probe::StreamSpec::periodic(10e6, 1500, 10));
-  f.session.send_stream_now(probe::StreamSpec::periodic(10e6, 1500, 10));
+  f.session.send_stream(probe::StreamSpec::periodic(10e6, 1500, 10));
+  f.session.send_stream(probe::StreamSpec::periodic(10e6, 1500, 10));
   EXPECT_EQ(f.session.cost().streams, 2u);
   EXPECT_EQ(f.session.cost().packets, 20u);
   EXPECT_EQ(f.session.cost().bytes, 20u * 1500u);
@@ -185,18 +185,22 @@ TEST(Session, LostPacketsMarkedLost) {
   sim::Path path(simu, {cfg});
   probe::ProbeSession session(simu, path);
   session.set_drain_timeout(200 * kMillisecond);
-  auto res = session.send_stream_now(probe::StreamSpec::periodic(200e6, 1500, 50));
+  auto res = session.send_stream(probe::StreamSpec::periodic(200e6, 1500, 50));
   EXPECT_GT(res.lost_count(), 0u);
   EXPECT_LT(res.lost_count(), 50u);
 }
 
-TEST(Session, RejectsEmptyAndPastStreams) {
+TEST(Session, RejectsEmptyStreamAndNegativeLeadIn) {
   SessionFixture f;
   probe::StreamSpec empty;
   EXPECT_THROW(f.session.send_stream(empty, 0), std::invalid_argument);
   f.simu.run_until(kSecond);
   auto spec = probe::StreamSpec::periodic(1e6, 100, 2);
-  EXPECT_THROW(f.session.send_stream(spec, 0), std::invalid_argument);
+  EXPECT_THROW(f.session.send_stream(spec, -1), std::invalid_argument);
+  EXPECT_EQ(f.session.cost().streams, 0u);  // nothing was sent
+  // A zero lead-in starts now.
+  auto res = f.session.send_stream(spec, 0);
+  EXPECT_EQ(res.packets.front().sent, kSecond);
 }
 
 TEST(Session, UnsortedSpecSendsInTimeOrder) {
@@ -206,7 +210,7 @@ TEST(Session, UnsortedSpecSendsInTimeOrder) {
   probe::StreamSpec spec;
   for (sim::SimTime off : {0, 300, 100, 200})
     spec.packets.push_back({off * kMicrosecond, 100});
-  auto res = f.session.send_stream_now(spec);
+  auto res = f.session.send_stream(spec);
   ASSERT_TRUE(res.complete());
   const sim::SimTime owd = sim::transmission_time(100, 50e6) + kMillisecond;
   for (const auto& r : res.packets) EXPECT_EQ(r.received - r.sent, owd);
@@ -268,7 +272,7 @@ TEST(Session, StreamKeepsFewEventsInTheHeap) {
   }
   simu.run_until(kSecond);
 
-  auto res = session.send_stream_now(probe::StreamSpec::periodic(20e6, 1500, 2000));
+  auto res = session.send_stream(probe::StreamSpec::periodic(20e6, 1500, 2000));
   EXPECT_TRUE(res.complete());
   EXPECT_LE(simu.peak_event_count(), 16u);
 }
@@ -298,7 +302,7 @@ TEST_P(FluidModel, EquationsSevenAndEight) {
   cross.start(0, 60 * kSecond);
   simu.run_until(kSecond);
 
-  auto res = session.send_stream_now(probe::StreamSpec::periodic(ri, 1500, 400));
+  auto res = session.send_stream(probe::StreamSpec::periodic(ri, 1500, 400));
   ASSERT_TRUE(res.complete());
 
   if (ri > a) {
@@ -343,7 +347,7 @@ TEST(FluidModel, EquationSixQueueGrowth) {
   std::size_t backlog_after = 0;
   simu.at(simu.now() + kMillisecond + spec.packets.back().offset,
           [&] { backlog_after = path.link(0).backlog_bytes(); });
-  session.send_stream(spec, simu.now() + kMillisecond);
+  session.send_stream(spec, kMillisecond);
 
   // Eq. 6: q grows by L * (Ri - A) / Ri per interarrival, so after N
   // packets: q ~ N * 1500 * (40-25)/40 = N * 562.5 B.

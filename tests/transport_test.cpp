@@ -1,18 +1,19 @@
 // The transport-redesign suite (label: live).
 //
-//  * probe::ReceiverState — the ONE dedup/reorder accounting shared by
-//    ProbeSession, MeshScenario, ParallelScenario, and the live daemon.
-//  * SimTransport bit-identity: every tool run through the Transport
-//    interface must produce byte-identical results (Estimate::to_json)
-//    to the historical direct-ProbeSession path.
+//  * probe::ReceiverState — the ONE receive path (stream lookup, received
+//    count, dedup/reorder accounting) shared by ProbeSession,
+//    MeshScenario, ParallelScenario, and the live daemon.
+//  * ProbeSession as the simulated Transport: every tool run twice over
+//    twin scenarios produces byte-identical results (Estimate::to_json).
 //  * The wire protocol (net/wire.hpp) round-trips.
 //  * Live UDP loopback: capacity, spruce, and pathload end-to-end
 //    against an in-process abwd daemon; an all-9-tool sweep asserting
 //    valid-or-structured termination; daemon multiplexing of many
 //    concurrent sessions with no cross-session bleed; admission
 //    rejection beyond max_sessions; the graceful kDeadline abort when
-//    the peer goes silent; and the daemon's per-session stream bound
-//    against a raw ABW1 peer (late probes, unknown stream-end ids).
+//    the peer goes silent; the daemon's per-session stream bound
+//    against a raw ABW1 peer (late probes, unknown stream-end ids); and
+//    sessions bound to the peer that opened them.
 //
 // Every socket-touching test skips itself (GTEST_SKIP) when the
 // environment cannot bind a loopback UDP socket.
@@ -64,11 +65,15 @@ probe::StreamResult make_result(std::size_t n) {
 TEST(ReceiverState, InOrderDeliveryAcceptsAll) {
   probe::StreamResult r = make_result(5);
   probe::ReceiverState rs;
+  rs.begin(r);
   for (std::uint32_t s = 0; s < 5; ++s) {
-    probe::ProbeRecord* rec = rs.accept(r, s);
+    EXPECT_FALSE(rs.complete());
+    probe::ProbeRecord* rec = rs.accept(1, s);
     ASSERT_NE(rec, nullptr);
     rec->received = 100 + s;
   }
+  EXPECT_TRUE(rs.complete());
+  EXPECT_EQ(rs.received, 5u);
   EXPECT_EQ(r.duplicate_count, 0u);
   EXPECT_EQ(r.reordered_count, 0u);
   EXPECT_TRUE(r.complete());
@@ -77,9 +82,11 @@ TEST(ReceiverState, InOrderDeliveryAcceptsAll) {
 TEST(ReceiverState, DuplicatesCountedAndRejected) {
   probe::StreamResult r = make_result(3);
   probe::ReceiverState rs;
-  ASSERT_NE(rs.accept(r, 1), nullptr);
-  EXPECT_EQ(rs.accept(r, 1), nullptr);  // dup of a received seq
-  EXPECT_EQ(rs.accept(r, 1), nullptr);
+  rs.begin(r);
+  ASSERT_NE(rs.accept(1, 1), nullptr);
+  EXPECT_EQ(rs.accept(1, 1), nullptr);  // dup of a received seq
+  EXPECT_EQ(rs.accept(1, 1), nullptr);
+  EXPECT_EQ(rs.received, 1u);
   EXPECT_EQ(r.duplicate_count, 2u);
   EXPECT_EQ(r.reordered_count, 0u);
 }
@@ -87,10 +94,11 @@ TEST(ReceiverState, DuplicatesCountedAndRejected) {
 TEST(ReceiverState, ReorderCountsFirstArrivalBehindHigherSeq) {
   probe::StreamResult r = make_result(4);
   probe::ReceiverState rs;
-  ASSERT_NE(rs.accept(r, 0), nullptr);
-  ASSERT_NE(rs.accept(r, 2), nullptr);  // 1 skipped
-  ASSERT_NE(rs.accept(r, 1), nullptr);  // late: reordered
-  ASSERT_NE(rs.accept(r, 3), nullptr);
+  rs.begin(r);
+  ASSERT_NE(rs.accept(1, 0), nullptr);
+  ASSERT_NE(rs.accept(1, 2), nullptr);  // 1 skipped
+  ASSERT_NE(rs.accept(1, 1), nullptr);  // late: reordered
+  ASSERT_NE(rs.accept(1, 3), nullptr);
   EXPECT_EQ(r.reordered_count, 1u);
   EXPECT_EQ(r.duplicate_count, 0u);
 }
@@ -98,13 +106,29 @@ TEST(ReceiverState, ReorderCountsFirstArrivalBehindHigherSeq) {
 TEST(ReceiverState, OutOfRangeSeqIgnored) {
   probe::StreamResult r = make_result(2);
   probe::ReceiverState rs;
-  EXPECT_EQ(rs.accept(r, 7), nullptr);
+  rs.begin(r);
+  EXPECT_EQ(rs.accept(1, 7), nullptr);
+  EXPECT_EQ(rs.received, 0u);
   EXPECT_EQ(r.duplicate_count, 0u);
   EXPECT_EQ(r.lost_count(), 2u);
 }
 
+TEST(ReceiverState, OtherStreamsAndEndedStreamIgnored) {
+  probe::StreamResult r = make_result(2);
+  probe::ReceiverState rs;
+  EXPECT_EQ(rs.accept(1, 0), nullptr);  // idle: nothing begun
+  rs.begin(r);
+  EXPECT_EQ(rs.accept(2, 0), nullptr);  // another stream's packet
+  ASSERT_NE(rs.accept(1, 0), nullptr);
+  rs.end();
+  EXPECT_EQ(rs.accept(1, 1), nullptr);  // stale: the stream ended
+  EXPECT_EQ(rs.received, 1u);
+  EXPECT_EQ(r.lost_count(), 1u);
+  EXPECT_EQ(r.duplicate_count, 0u);
+}
+
 // ---------------------------------------------------------------------------
-// SimTransport bit-identity: Transport path == historical session path
+// ProbeSession as the simulated Transport: twin runs replay bit for bit
 
 namespace {
 
@@ -124,45 +148,48 @@ core::ToolOptions twin_options() {
 
 }  // namespace
 
-TEST(SimTransportIdentity, EveryToolBitIdenticalToSessionPath) {
+// Each tool runs on twin scenarios, once through transport() and once
+// through the session itself: the two runs must agree bit for bit.
+TEST(SessionTransport, EveryToolTwinRunsBitIdentical) {
   for (const std::string& name : core::available_tools()) {
-    core::Scenario sc_session = twin_scenario();
-    core::Scenario sc_transport = twin_scenario();
+    core::Scenario sc_a = twin_scenario();
+    core::Scenario sc_b = twin_scenario();
     stats::Rng rng_a(99), rng_b(99);
     auto tool_a = core::make_estimator(name, twin_options(), rng_a);
     auto tool_b = core::make_estimator(name, twin_options(), rng_b);
 
-    // Historical path: the deprecated ProbeSession& overload.
-    est::Estimate via_session = tool_a->estimate(sc_session.session());
-    // Redesigned path: the Transport& interface.
-    est::Estimate via_transport = tool_b->estimate(sc_transport.transport());
+    est::Estimate a = tool_a->estimate(sc_a.transport());
+    est::Estimate b = tool_b->estimate(sc_b.session());
 
-    EXPECT_EQ(via_session.to_json(), via_transport.to_json())
-        << "tool " << name << " diverged between session and transport paths";
+    EXPECT_EQ(a.to_json(), b.to_json())
+        << "tool " << name << " diverged between twin runs";
+    EXPECT_GT(a.cost.packets, 0u) << name;
   }
 }
 
-TEST(SimTransportIdentity, CapacityEstimatorBitIdentical) {
+TEST(SessionTransport, CapacityEstimatorTwinRunsBitIdentical) {
   core::Scenario sc_a = twin_scenario();
   core::Scenario sc_b = twin_scenario();
   est::CapacityConfig cfg;
   cfg.pair_count = 60;
   est::CapacityEstimator cap_a(cfg, stats::Rng(7));
   est::CapacityEstimator cap_b(cfg, stats::Rng(7));
-  double via_session = cap_a.estimate_capacity(sc_a.session());
-  double via_transport = cap_b.estimate_capacity(sc_b.transport());
-  EXPECT_EQ(via_session, via_transport);
+  double a = cap_a.estimate_capacity(sc_a.transport());
+  double b = cap_b.estimate_capacity(sc_b.transport());
+  EXPECT_EQ(a, b);
+  EXPECT_EQ(cap_a.last_samples(), cap_b.last_samples());
 }
 
-TEST(SimTransport, ExposesSessionAndClock) {
+TEST(SessionTransport, TransportIsTheSessionWithItsClock) {
   core::Scenario sc = twin_scenario();
-  probe::SimTransport& t = sc.transport();
+  probe::Transport& t = sc.transport();
   EXPECT_EQ(t.kind(), "sim");
   EXPECT_EQ(t.sim_session(), &sc.session());
+  EXPECT_EQ(&t, static_cast<probe::Transport*>(&sc.session()));
   sim::SimTime before = t.now();
   t.wait(5 * sim::kMillisecond);
   EXPECT_EQ(t.now(), before + 5 * sim::kMillisecond);
-  EXPECT_EQ(&t, &sc.transport());  // stable accessor
+  EXPECT_EQ(t.now(), sc.simulator().now());
 }
 
 // ---------------------------------------------------------------------------
@@ -336,17 +363,19 @@ TEST(UdpLoopback, AllNineToolsTerminateStructured) {
 
     // Valid estimate, or a structured abort/invalid with a reason —
     // never a hang (the ctest timeout is the backstop) or empty result.
+    // Every failure prints the tool's whole estimate, diagnostics
+    // included, so it names its own cause.
     if (e.valid) {
-      EXPECT_GT(e.high_bps, 0.0) << name;
+      EXPECT_GT(e.high_bps, 0.0) << name << ": " << e.to_json();
     } else {
       EXPECT_TRUE(e.abort != est::AbortReason::kNone || !e.detail.empty())
-          << name << " returned an unstructured failure";
+          << name << " returned an unstructured failure: " << e.to_json();
     }
-    EXPECT_GT(e.cost.packets, 0u) << name;
+    EXPECT_GT(e.cost.packets, 0u) << name << ": " << e.to_json();
     // The guard is checked between streams, so the budget can overshoot
     // by at most one stream (bfind's 500 ms steps are the largest).
     EXPECT_LE(e.cost.packets, 2u * 30000u)
-        << name << " blew through its probe budget";
+        << name << " blew through its probe budget: " << e.to_json();
   }
   EXPECT_EQ(daemon->stats().sessions_admitted,
             core::available_tools().size());
@@ -589,4 +618,42 @@ TEST(UdpLoopback, StreamEndForUnknownIdsIsBounded) {
     ASSERT_EQ(peer.stream_end(session, stream, 4), 0);
   // Stream 5 was evicted by the unknown ids: its report is empty now.
   EXPECT_EQ(peer.stream_end(session, 5, 4), 0);
+}
+
+// A second socket that learned a live client's session id injects a whole
+// stream of probes and a stream-end under it.  The daemon answers it with
+// a kUnknownSession abort and leaves the session alone: the client's next
+// stream is measured clean (no injected duplicates) and its probe budget,
+// sized for exactly its own two streams, is not spent by the intruder.
+TEST(UdpLoopback, SessionIsBoundToItsPeer) {
+  auto daemon = try_daemon();
+  REQUIRE_SOCKETS(daemon);
+  constexpr std::uint32_t kPackets = 20;
+  net::UdpTransportConfig tcfg = client_config(*daemon);
+  tcfg.advertise_budget_packets = 2 * kPackets;
+  net::UdpTransport client(tcfg);
+  probe::StreamSpec spec = probe::StreamSpec::periodic(5e6, 300, kPackets);
+  probe::StreamResult first = client.send_stream(spec, sim::kMillisecond);
+  ASSERT_TRUE(client.connected());
+  ASSERT_EQ(first.lost_count(), 0u);
+
+  // The client's next stream id is 2 (ids count from 1 per transport).
+  RawPeer intruder(daemon->port());
+  const std::uint64_t victim = client.session_id();
+  for (std::uint32_t seq = 0; seq < kPackets; ++seq)
+    intruder.send(net::MsgType::kProbe, victim, 2, seq, kPackets);
+  intruder.send(net::MsgType::kStreamEnd, victim, 2, 0, kPackets);
+  net::WireHeader abort;
+  ASSERT_TRUE(intruder.receive(net::MsgType::kAbort, &abort));
+  EXPECT_EQ(abort.session_id, victim);
+  EXPECT_EQ(abort.aux, static_cast<std::uint32_t>(net::AbortCode::kUnknownSession));
+
+  probe::StreamResult second = client.send_stream(spec, sim::kMillisecond);
+  EXPECT_EQ(second.stream_id, 2u);
+  EXPECT_EQ(second.lost_count(), 0u) << "the intruder spent the client's budget";
+  EXPECT_EQ(second.duplicate_count, 0u) << "injected probes reached the stream";
+  EXPECT_EQ(daemon->stats().aborts_sent, 0u);
+  net::WireHeader report;
+  EXPECT_FALSE(intruder.receive(net::MsgType::kReport, &report))
+      << "the daemon reported a foreign session's stream to an intruder";
 }

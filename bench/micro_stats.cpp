@@ -1,6 +1,6 @@
-// Micro-benchmarks of the statistics primitives (google-benchmark): FFT,
-// fGn synthesis, trend statistics, and regression — the per-stream and
-// per-trace costs every estimator pays.
+// Micro-benchmarks of the statistics primitives (google-benchmark): random
+// draws, FFT, fGn synthesis, trend statistics, and regression — the
+// per-stream and per-trace costs every estimator pays.
 #include <benchmark/benchmark.h>
 
 #include "stats/fft.hpp"
@@ -13,6 +13,31 @@
 namespace {
 
 using namespace abw::stats;
+
+// The draws every traffic source and fGn series is made of: one raw
+// engine word (tempering plus the amortized twist), one Poisson gap, one
+// normal deviate (polar method, ~2.55 words per deviate).
+void BM_RngEngine(benchmark::State& state) {
+  Rng rng(static_cast<std::uint64_t>(state.range(0)));
+  for (auto _ : state) benchmark::DoNotOptimize(rng.engine()());
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_RngEngine)->Arg(1);
+
+void BM_RngExponential(benchmark::State& state) {
+  Rng rng(static_cast<std::uint64_t>(state.range(0)));
+  const double mean = 1e-3 * static_cast<double>(state.range(0));
+  for (auto _ : state) benchmark::DoNotOptimize(rng.exponential(mean));
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_RngExponential)->Arg(1);
+
+void BM_RngNormal(benchmark::State& state) {
+  Rng rng(static_cast<std::uint64_t>(state.range(0)));
+  for (auto _ : state) benchmark::DoNotOptimize(rng.normal());
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_RngNormal)->Arg(1);
 
 void BM_Fft(benchmark::State& state) {
   auto n = static_cast<std::size_t>(state.range(0));

@@ -3,22 +3,39 @@
 // this library's simulated network exhibits the same effect.
 //
 // Usage:  fallacy_tour [id]      (no argument = run all ten)
+//
+// --help prints the usage; a malformed id prints the message and the
+// usage and exits 2.
 #include <cstdio>
-#include <cstdlib>
+#include <stdexcept>
+#include <string>
 
 #include "core/fallacies.hpp"
+#include "runner/cli.hpp"
 
 int main(int argc, char** argv) {
   using namespace abw::core;
   constexpr std::uint64_t kSeed = 20041025;  // the paper's IMC date
 
-  int only = 0;
-  if (argc > 1) {
-    only = std::atoi(argv[1]);
-    if (only < 1 || only > kFallacyCount) {
-      std::fprintf(stderr, "usage: %s [1..%d]\n", argv[0], kFallacyCount);
-      return 2;
+  auto usage = [](std::FILE* out) {
+    std::fprintf(out, "usage: fallacy_tour [id in 1..%d]\n", kFallacyCount);
+  };
+  for (int i = 1; i < argc; ++i)
+    if (std::string(argv[i]) == "--help" || std::string(argv[i]) == "-h") {
+      usage(stdout);
+      return 0;
     }
+  int only = 0;
+  try {
+    if (argc > 2) throw std::invalid_argument("too many arguments");
+    if (argc > 1) {
+      only = static_cast<int>(abw::runner::parse_uint("id", argv[1], kFallacyCount));
+      if (only == 0) throw std::invalid_argument("id: must be >= 1");
+    }
+  } catch (const std::invalid_argument& ex) {
+    std::fprintf(stderr, "fallacy_tour: %s\n", ex.what());
+    usage(stderr);
+    return 2;
   }
 
   std::printf("Ten Fallacies and Pitfalls on End-to-End Available Bandwidth\n"

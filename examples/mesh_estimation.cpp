@@ -5,6 +5,9 @@
 //
 //   ./mesh_estimation [sources] [sinks] [hops] [probe_fraction]
 //
+// Defaults: 6 sources, 6 sinks, 6 hops, fraction 0.30.  --help prints the
+// usage; a malformed argument prints the message and the usage and exits 2.
+//
 // The demo prints the greedy-cover probe set, then a per-pair table of
 // estimate vs simulated ground truth (paper Eq. 3 per-link minimum)
 // marking each pair measured or inferred, and closes with the headline
@@ -13,22 +16,58 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/mesh_scenario.hpp"
 #include "est/mesh.hpp"
 #include "runner/batch.hpp"
 #include "runner/bench_report.hpp"
+#include "runner/cli.hpp"
 
 using namespace abw;
 
+namespace {
+
+void usage(std::FILE* out) {
+  std::fprintf(out,
+               "usage: mesh_estimation [sources 1..64] [sinks 1..64] "
+               "[hops 2..64] [probe_fraction 0..1]\n");
+}
+
+// Positional argument `i` as an integer in [lo, hi], `fallback` when absent.
+std::size_t count_arg(int argc, char** argv, int i, const char* name,
+                      std::size_t fallback, unsigned long long lo,
+                      unsigned long long hi) {
+  if (argc <= i) return fallback;
+  const unsigned long long v = runner::parse_uint(name, argv[i], hi);
+  if (v < lo)
+    throw std::invalid_argument(std::string(name) + ": must be >= " + std::to_string(lo));
+  return static_cast<std::size_t>(v);
+}
+
+}  // namespace
+
 int main(int argc, char** argv) {
+  for (int i = 1; i < argc; ++i)
+    if (std::string(argv[i]) == "--help" || std::string(argv[i]) == "-h") {
+      usage(stdout);
+      return 0;
+    }
   core::ParkingLotMeshConfig pc;
-  pc.sources = argc > 1 ? std::strtoul(argv[1], nullptr, 10) : 6;
-  pc.sinks = argc > 2 ? std::strtoul(argv[2], nullptr, 10) : 6;
-  pc.backbone_hops = argc > 3 ? std::strtoul(argv[3], nullptr, 10) : 6;
-  const double fraction = argc > 4 ? std::strtod(argv[4], nullptr) : 0.30;
+  double fraction = 0.30;
+  try {
+    if (argc > 5) throw std::invalid_argument("too many arguments");
+    pc.sources = count_arg(argc, argv, 1, "sources", 6, 1, 64);
+    pc.sinks = count_arg(argc, argv, 2, "sinks", 6, 1, 64);
+    pc.backbone_hops = count_arg(argc, argv, 3, "hops", 6, 2, 64);
+    if (argc > 4) fraction = runner::parse_real("probe_fraction", argv[4], 0.0, 1.0);
+  } catch (const std::invalid_argument& ex) {
+    std::fprintf(stderr, "mesh_estimation: %s\n", ex.what());
+    usage(stderr);
+    return 2;
+  }
   pc.backbone_capacity_bps = 50e6;
   pc.access_capacity_bps = 200e6;
   pc.util_min = 0.50;

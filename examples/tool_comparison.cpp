@@ -53,18 +53,21 @@ void run_on(core::CrossModel model, std::uint64_t seed) {
     double latency = sim::to_seconds(after.last_activity) -
                      sim::to_seconds(before.last_activity);
 
-    std::string estimate, error;
+    // Built with construction and append only: GCC 12 reports a false
+    // -Wrestrict in libstdc++ for `"[" + s` and for assigning a literal.
+    std::string estimate("(invalid)"), error("-");
     if (e.valid) {
       if (e.low_bps == e.high_bps) {
         estimate = core::mbps(e.point_bps());
       } else {
-        estimate = "[" + core::mbps(e.low_bps) + ", " + core::mbps(e.high_bps) + "]";
+        estimate = std::string("[")
+                       .append(core::mbps(e.low_bps))
+                       .append(", ")
+                       .append(core::mbps(e.high_bps))
+                       .append("]");
       }
       double truth = sc.nominal_avail_bw();
       error = core::pct((e.point_bps() - truth) / truth);
-    } else {
-      estimate = "(invalid)";
-      error = "-";
     }
     char lat[32];
     std::snprintf(lat, sizeof lat, "%.2f s", latency);

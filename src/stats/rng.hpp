@@ -5,16 +5,60 @@
 // distributions offered here are the ones the paper's workloads need:
 // uniform, exponential (Poisson processes), Pareto (heavy-tailed ON/OFF
 // traffic), and normal (fGn synthesis).
+//
+// The streams are defined by this library's own code, not by the standard
+// library: `Mt19937_64` is MT19937-64, and the distributions are written
+// out in rng.cpp.  Both reproduce libstdc++'s std::mt19937_64 and
+// std::*_distribution bit for bit (stats_test pins that), so every seeded
+// experiment and golden digest is what it was when they were std types.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <random>
 
 namespace abw::stats {
 
+/// MT19937-64 (Matsumoto & Nishimura, 2000): output-identical to
+/// std::mt19937_64 for the same seed.  Satisfies UniformRandomBitGenerator,
+/// so std distributions accept it.  The state is 312 words plus an index.
+class Mt19937_64 {
+ public:
+  using result_type = std::uint64_t;
+  static constexpr result_type min() { return 0; }
+  static constexpr result_type max() { return ~result_type{0}; }
+
+  explicit Mt19937_64(result_type seed) {
+    state_[0] = seed;
+    for (std::size_t i = 1; i < kN; ++i) {
+      const std::uint64_t prev = state_[i - 1];
+      state_[i] = 6364136223846793005ULL * (prev ^ (prev >> 62)) + i;
+    }
+  }
+
+  result_type operator()() {
+    if (pos_ >= kN) twist();
+    std::uint64_t z = state_[pos_++];
+    z ^= (z >> 29) & 0x5555555555555555ULL;
+    z ^= (z << 17) & 0x71d67fffeda60000ULL;
+    z ^= (z << 37) & 0xfff7eee000000000ULL;
+    z ^= z >> 43;
+    return z;
+  }
+
+ private:
+  static constexpr std::size_t kN = 312;
+  static constexpr std::size_t kM = 156;
+
+  /// Regenerates all kN words and rewinds pos_.
+  void twist();
+
+  std::uint64_t state_[kN];
+  std::size_t pos_ = kN;
+};
+
 /// A seedable pseudo-random generator with the distributions used across
-/// the library.  Thin wrapper over std::mt19937_64; copyable so generators
-/// can fork deterministic sub-streams via `fork()`.
+/// the library; copyable so generators can fork deterministic sub-streams
+/// via `fork()`.
 class Rng {
  public:
   /// Constructs a generator from an explicit 64-bit seed.
@@ -48,10 +92,10 @@ class Rng {
   Rng fork();
 
   /// Direct access for std distributions that need an engine.
-  std::mt19937_64& engine() { return engine_; }
+  Mt19937_64& engine() { return engine_; }
 
  private:
-  std::mt19937_64 engine_;
+  Mt19937_64 engine_;
 };
 
 }  // namespace abw::stats

@@ -37,13 +37,13 @@ double FgnRateGenerator::rate_at(sim::SimTime t) {
   if (series_origin_ < 0) {
     // Lazily synthesize on first use (needs the generator's own RNG).
     series_origin_ = t;
-    std::vector<double> noise = stats::generate_fgn(kSeriesLength, cfg_.hurst, rng());
-    rates_.resize(kSeriesLength);
-    for (std::size_t i = 0; i < kSeriesLength; ++i) {
-      double r = cfg_.mean_rate_bps * (1.0 + cfg_.rel_std * noise[i]);
+    // The noise series becomes the rate series in place.
+    rates_ = stats::generate_fgn(kSeriesLength, cfg_.hurst, rng());
+    for (double& rate : rates_) {
+      double r = cfg_.mean_rate_bps * (1.0 + cfg_.rel_std * rate);
       // Clamp so the intensity stays strictly positive even deep in the
       // Gaussian tail.
-      rates_[i] = std::max(r, 0.01 * cfg_.mean_rate_bps);
+      rate = std::max(r, 0.01 * cfg_.mean_rate_bps);
     }
   }
   auto idx = static_cast<std::size_t>((t - series_origin_) / cfg_.window);

@@ -2,6 +2,7 @@
 // reach: result-type invariants, boundary states, accessor semantics.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <sstream>
 
 #include "core/monitor.hpp"

@@ -34,6 +34,11 @@ namespace {
 std::atomic<std::uint64_t> g_news{0};
 }  // namespace
 
+// At -O1 (the sanitizer builds) GCC 12 inlines these deletes after a
+// `new` and reports free() on memory from operator new; this operator new
+// allocates with malloc, so the pairing is right.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
 void* operator new(std::size_t n) {
   g_news.fetch_add(1, std::memory_order_relaxed);
   if (void* p = std::malloc(n ? n : 1)) return p;
@@ -44,6 +49,7 @@ void operator delete(void* p) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+#pragma GCC diagnostic pop
 
 namespace {
 

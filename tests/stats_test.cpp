@@ -2,8 +2,13 @@
 // regression, trend tests, sampling, and effective bandwidth.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <numeric>
+#include <optional>
+#include <random>
+#include <vector>
 
 #include "stats/cdf.hpp"
 #include "stats/effective_bw.hpp"
@@ -34,13 +39,53 @@ TEST(Rng, ForkDivergesFromParent) {
   EXPECT_TRUE(any_diff);
 }
 
-// The hand-inlined uniform01/exponential fast paths must be bit-identical
-// to the std::distribution formulations they replaced — every golden
-// digest and seeded experiment depends on the exact draw sequence.
+// The repo-owned engine must reproduce std::mt19937_64 word for word:
+// every seeded experiment and golden digest was pinned on the std engine.
+// A million draws per seed run ~3,200 twists, over seeds at both ends of
+// the range; copies and forks must stay in lockstep too.
+TEST(Rng, EngineMatchesStdMt19937_64) {
+  for (std::uint64_t seed : {0ULL, 1ULL, 987654321ULL, ~0ULL}) {
+    std::mt19937_64 ref(seed);
+    Rng own(seed);
+    std::mt19937_64 ref_copy(0);
+    std::optional<Rng> own_copy;
+    std::vector<std::uint64_t> after_copy;
+    constexpr int kDraws = 1'000'000, kCopyAt = 500'000, kReplay = 1000;
+    for (int i = 0; i < kDraws; ++i) {
+      if (i == kCopyAt) {
+        ref_copy = ref;
+        own_copy = own;
+      }
+      const std::uint64_t want = ref();
+      if (want != own.engine()())
+        FAIL() << "seed " << seed << ": draw " << i << " differs";
+      if (i >= kCopyAt && i < kCopyAt + kReplay) after_copy.push_back(want);
+    }
+    // The copies replay the stream from where they were taken.
+    for (int i = 0; i < kReplay; ++i) {
+      ASSERT_EQ(after_copy[i], ref_copy()) << "seed " << seed;
+      ASSERT_EQ(after_copy[i], own_copy->engine()()) << "seed " << seed;
+    }
+    // fork() seeds the child from the parent's next two words.
+    const std::uint64_t a = ref(), b = ref();
+    std::mt19937_64 child_ref(a ^ (b << 1) ^ 0x9e3779b97f4a7c15ULL);
+    Rng child = own.fork();
+    for (int i = 0; i < kReplay; ++i) {
+      ASSERT_EQ(child_ref(), child.engine()()) << "seed " << seed;
+      ASSERT_EQ(ref(), own.engine()()) << "seed " << seed;
+    }
+  }
+}
+
+// The hand-written distributions must be bit-identical to the
+// std::distribution formulations they replaced: every golden digest and
+// seeded experiment depends on the exact draw sequence.
 TEST(Rng, RngFastPathExact) {
   // A stub engine with mt19937_64's range lets us drive the std reference
-  // through chosen raw draws, including the one-in-2^54 rounding edge
-  // where the 64-bit value converts up to exactly 2^64.
+  // through chosen raw draws: the one-in-2^54 rounding edge where the
+  // 64-bit value converts up to exactly 2^64, and the values where the
+  // split conversion (high and low 32 bits converted apart, then summed)
+  // must round exactly as the single cast does.
   struct StubEngine {
     using result_type = std::uint64_t;
     static constexpr result_type min() { return 0; }
@@ -49,34 +94,69 @@ TEST(Rng, RngFastPathExact) {
     result_type operator()() { return val; }
   };
   const std::uint64_t edges[] = {
-      0,         1,          1023,       1024,
-      (1ULL << 53) - 1,      (1ULL << 53),
-      ~0ULL,     ~0ULL - 1,  ~0ULL - 511, ~0ULL - 512,
-      ~0ULL - 1023,          0xfffffffffffffbffULL, 0xfffffffffffffc00ULL};
+      0,                     1,
+      1023,                  1024,
+      (1ULL << 32) - 1,      1ULL << 32,
+      (1ULL << 53) - 1,      1ULL << 53,
+      (1ULL << 53) + 1,      (1ULL << 63) - 1,
+      1ULL << 63,            (1ULL << 63) + 1,
+      ~0ULL,                 ~0ULL - 1,
+      ~0ULL - 511,           ~0ULL - 512,
+      ~0ULL - 1023 /* 2^64-1024 */, ~0ULL - 1024 /* 2^64-1025 */,
+      0xfffffffffffffbffULL, 0xfffffffffffffc00ULL};
   for (std::uint64_t x : edges) {
     StubEngine e{x};
-    double want = std::generate_canonical<double, 53>(e);
-    double u = static_cast<double>(x) * 0x1.0p-64;
-    if (u >= 1.0) u = 0x1.fffffffffffffp-1;
-    EXPECT_EQ(want, u) << "raw draw " << x;
+    const double want = std::generate_canonical<double, 53>(e);
+    const double cast = static_cast<double>(x);
+    const double split =
+        static_cast<double>(static_cast<std::uint32_t>(x >> 32)) * 0x1.0p32 +
+        static_cast<double>(static_cast<std::uint32_t>(x));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(cast), std::bit_cast<std::uint64_t>(split))
+        << "raw draw " << x;
+    const double u = std::min(split * 0x1.0p-64, 0x1.fffffffffffffp-1);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(want), std::bit_cast<std::uint64_t>(u))
+        << "raw draw " << x;
   }
   // And over the real engine: same seed, interleaved draw kinds, exact
-  // equality of both the values and the post-draw engine state.
+  // equality of the values' bits and of the post-draw engine state.  Each
+  // std distribution is a fresh object per draw, as the replaced code
+  // constructed them (a fresh normal_distribution saves no second deviate).
+  auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
   std::mt19937_64 ref(987654321);
   Rng fast(987654321);
-  for (int i = 0; i < 20000; ++i) {
-    switch (i % 3) {
+  for (int i = 0; i < 60000; ++i) {
+    switch (i % 8) {
       case 0:
-        EXPECT_EQ(std::uniform_real_distribution<double>(0.0, 1.0)(ref),
-                  fast.uniform01());
+        ASSERT_EQ(bits(std::uniform_real_distribution<double>(0.0, 1.0)(ref)),
+                  bits(fast.uniform01())) << "draw " << i;
         break;
       case 1:
-        EXPECT_EQ(std::exponential_distribution<double>(1.0 / 0.0013)(ref),
-                  fast.exponential(0.0013));
+        ASSERT_EQ(bits(std::exponential_distribution<double>(1.0 / 0.0013)(ref)),
+                  bits(fast.exponential(0.0013))) << "draw " << i;
+        break;
+      case 2:
+        ASSERT_EQ(bits(std::exponential_distribution<double>(1.0 / 250.0)(ref)),
+                  bits(fast.exponential(250.0))) << "draw " << i;
+        break;
+      case 3:
+        ASSERT_EQ(bits(std::normal_distribution<double>(0.0, 1.0)(ref)),
+                  bits(fast.normal())) << "draw " << i;
+        break;
+      case 4:
+        ASSERT_EQ(std::bernoulli_distribution(0.3)(ref), fast.bernoulli(0.3))
+            << "draw " << i;
+        break;
+      case 5:
+        ASSERT_EQ(std::bernoulli_distribution(1e-3)(ref), fast.bernoulli(1e-3))
+            << "draw " << i;
+        break;
+      case 6:
+        ASSERT_EQ(bits(std::uniform_real_distribution<double>(0.0, 0.05)(ref)),
+                  bits(fast.uniform(0.0, 0.05))) << "draw " << i;
         break;
       default:
-        EXPECT_EQ(std::exponential_distribution<double>(1.0 / 250.0)(ref),
-                  fast.exponential(250.0));
+        ASSERT_EQ(bits(std::uniform_real_distribution<double>(-3.5, 7.25)(ref)),
+                  bits(fast.uniform(-3.5, 7.25))) << "draw " << i;
     }
   }
   EXPECT_EQ(ref(), fast.engine()());  // engines advanced in lockstep

@@ -125,6 +125,43 @@ TEST(Fft, BitIdenticalToPinnedDigest) {
   check_golden("Fft", fft_digest(), kGoldenFft);
 }
 
+// Digest of fft and ifft at 2^17 and 2^18 points, the sizes whose stages
+// outgrow a cache block (2^18 is the transform generate_fgn runs for
+// FgnRateGenerator's series).  Each component is drawn at random from
+// +0, -0, a subnormal, a magnitude near 1e295 or a plain normal, so
+// signed-zero sums and wide dynamic ranges pass through every butterfly.
+std::uint64_t fft_large_digest() {
+  Digest d;
+  for (std::size_t n : {std::size_t{1} << 17, std::size_t{1} << 18}) {
+    Rng r(n + 1);
+    auto component = [&r]() -> double {
+      switch (r.engine()() % 8) {
+        case 0: return 0.0;
+        case 1: return -0.0;
+        case 2: return r.normal() * 0x1p-1060;  // subnormal (or zero)
+        case 3: return r.normal() * 1e295;
+        default: return r.normal();
+      }
+    };
+    std::vector<std::complex<double>> x(n);
+    for (auto& v : x) {
+      const double re = component();
+      v = {re, component()};
+    }
+    fft(x);
+    d.cplx(x);
+    ifft(x);
+    d.cplx(x);
+  }
+  return d.h;
+}
+
+constexpr std::uint64_t kGoldenFftLarge = 0x62cb661e416582faull;
+
+TEST(Fft, LargeSizesBitIdenticalToPinnedDigest) {
+  check_golden("FftLarge", fft_large_digest(), kGoldenFftLarge);
+}
+
 TEST(Fft, NextPow2) {
   EXPECT_EQ(next_pow2(1), 1u);
   EXPECT_EQ(next_pow2(2), 2u);

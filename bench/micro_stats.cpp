@@ -3,6 +3,8 @@
 // per-stream and per-trace costs every estimator pays.
 #include <benchmark/benchmark.h>
 
+#include <vector>
+
 #include "stats/fft.hpp"
 #include "stats/fgn.hpp"
 #include "stats/hurst.hpp"
@@ -16,7 +18,8 @@ using namespace abw::stats;
 
 // The draws every traffic source and fGn series is made of: one raw
 // engine word (tempering plus the amortized twist), one Poisson gap, one
-// normal deviate (polar method, ~2.55 words per deviate).
+// normal deviate (polar method, ~2.55 words per deviate), one by one or
+// in a batch.
 void BM_RngEngine(benchmark::State& state) {
   Rng rng(static_cast<std::uint64_t>(state.range(0)));
   for (auto _ : state) benchmark::DoNotOptimize(rng.engine()());
@@ -38,6 +41,19 @@ void BM_RngNormal(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_RngNormal)->Arg(1);
+
+// The batched path generate_fgn draws its 2^18 normals through; the same
+// deviates as BM_RngNormal's calls.
+void BM_RngNormals(benchmark::State& state) {
+  Rng rng(1);
+  std::vector<double> out(static_cast<std::size_t>(state.range(0)));
+  for (auto _ : state) {
+    rng.normals(out.data(), out.size());
+    benchmark::DoNotOptimize(out.data());
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_RngNormals)->Arg(1 << 18);
 
 void BM_Fft(benchmark::State& state) {
   auto n = static_cast<std::size_t>(state.range(0));

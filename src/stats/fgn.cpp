@@ -1,7 +1,9 @@
 #include "stats/fgn.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <complex>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <stdexcept>
@@ -109,25 +111,36 @@ std::vector<double> generate_fgn(std::size_t n, double hurst, Rng& rng) {
     throw std::invalid_argument("generate_fgn: hurst must be in (0,1)");
 
   std::size_t half = next_pow2(n);
+  if (half > std::numeric_limits<std::size_t>::max() / 2)  // m would wrap to 0
+    throw std::length_error("generate_fgn: n too large for the circulant embedding");
   std::size_t m = 2 * half;
   Spectrum spectrum = spectrum_cache().get(half, hurst);
   const std::vector<double>& scale = *spectrum;
 
   // Random Hermitian-symmetric spectrum.  The draw order (ascending j,
   // imaginary part before real part) defines the stream every seeded
-  // experiment reproduces; the golden digests pin it.
-  std::vector<std::complex<double>> v(m);
-  for (std::size_t j = 0; j <= half; ++j) {
-    double s = scale[j];
-    if (j == 0 || j == half) {
-      v[j] = s * rng.normal();
-    } else {
-      double im = s * rng.normal();
-      double re = s * rng.normal();
-      v[j] = std::complex<double>(re, im);
-      v[m - j] = std::conj(v[j]);
+  // experiment reproduces; the golden digests pin it.  The normals come
+  // from Rng::normals, which gives the deviates (and leaves the engine
+  // state) of one normal() call per draw however the draws are split:
+  // here one for j = 0, kChunk at a time for the pairs of 0 < j < half,
+  // and one for j = half.
+  constexpr std::size_t kChunk = 1024;
+  double z[kChunk];
+  std::vector<std::complex<double>> v;  // built in order, never zeroed
+  v.reserve(m);
+  rng.normals(z, 1);
+  v.emplace_back(scale[0] * z[0]);
+  for (std::size_t j0 = 1; j0 < half; j0 += kChunk / 2) {
+    const std::size_t count = std::min(kChunk / 2, half - j0);
+    rng.normals(z, 2 * count);
+    for (std::size_t k = 0; k < count; ++k) {
+      const double s = scale[j0 + k];
+      v.emplace_back(s * z[2 * k + 1], s * z[2 * k]);  // (re, im)
     }
   }
+  rng.normals(z, 1);
+  v.emplace_back(scale[half] * z[0]);
+  for (std::size_t j = half - 1; j >= 1; --j) v.push_back(std::conj(v[j]));  // v[m - j]
 
   fft(v);
   std::vector<double> out(n);

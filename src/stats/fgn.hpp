@@ -24,12 +24,17 @@ namespace abw::stats {
 /// entries go first), thread-safe, and invisible in the output, which is
 /// bit-identical whether the spectrum was cached or not.
 /// Each call then draws 2 * next_pow2(n) normals from rng and runs one
-/// FFT of size 2 * next_pow2(n).
+/// FFT of size 2 * next_pow2(n).  The draws go through Rng::normals in
+/// fixed chunks, which gives exactly the deviates (and the final engine
+/// state) of one normal() call per draw, in the order the spectrum is
+/// filled: ascending frequency, imaginary part before real part.
 ///
 /// Throws std::invalid_argument for n == 0 or hurst outside (0, 1)
-/// (NaN included), and std::runtime_error if the embedding has a
-/// negative eigenvalue beyond round-off, which for fGn covariance does
-/// not occur; either way rng is left untouched and nothing is cached.
+/// (NaN included), std::length_error when 2 * next_pow2(n) does not fit
+/// in size_t (n > 2^62 on 64 bits), and std::runtime_error if the
+/// embedding has a negative eigenvalue beyond round-off, which for fGn
+/// covariance does not occur; either way rng is left untouched and
+/// nothing is cached.
 std::vector<double> generate_fgn(std::size_t n, double hurst, Rng& rng);
 
 /// Theoretical autocovariance of unit-variance fGn at lag k:

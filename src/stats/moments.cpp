@@ -62,14 +62,20 @@ double stddev(const std::vector<double>& xs) { return std::sqrt(variance(xs)); }
 double median(std::vector<double> xs) { return quantile(std::move(xs), 0.5); }
 
 double quantile(std::vector<double> xs, double q) {
+  if (!(q >= 0.0 && q <= 1.0))  // also rejects NaN
+    throw std::invalid_argument("quantile: q must be in [0,1]");
   if (xs.empty()) return 0.0;
-  if (q < 0.0 || q > 1.0) throw std::invalid_argument("quantile: q must be in [0,1]");
-  std::sort(xs.begin(), xs.end());
   double pos = q * static_cast<double>(xs.size() - 1);
   std::size_t lo = static_cast<std::size_t>(pos);
-  std::size_t hi = std::min(lo + 1, xs.size() - 1);
   double frac = pos - static_cast<double>(lo);
-  return xs[lo] * (1.0 - frac) + xs[hi] * frac;
+  // The lo-th order statistic by selection, and the (lo+1)-th as the least
+  // of what selection leaves above it: the values a full sort would put
+  // at lo and lo + 1.
+  auto lo_it = xs.begin() + static_cast<std::ptrdiff_t>(lo);
+  std::nth_element(xs.begin(), lo_it, xs.end());
+  double x_lo = *lo_it;
+  double x_hi = lo + 1 < xs.size() ? *std::min_element(lo_it + 1, xs.end()) : x_lo;
+  return x_lo * (1.0 - frac) + x_hi * frac;
 }
 
 double relative_error(double x, double reference) {

@@ -55,6 +55,7 @@ double stddev(const std::vector<double>& xs);
 double median(std::vector<double> xs);
 
 /// q-quantile via linear interpolation, q in [0, 1]; 0 when empty.
+/// Throws std::invalid_argument for q outside [0, 1] (NaN included).
 double quantile(std::vector<double> xs, double q);
 
 /// Relative error (x - reference) / reference.  The paper's epsilon metric.

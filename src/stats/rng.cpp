@@ -1,5 +1,6 @@
 #include "stats/rng.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <random>
 #include <stdexcept>
@@ -26,26 +27,32 @@ void Mt19937_64::twist() {
   pos_ = 0;
 }
 
+void Mt19937_64::fill(result_type* out, std::size_t n) {
+  while (n > 0) {
+    if (pos_ >= kN) twist();
+    const std::size_t take = std::min(n, kN - pos_);
+    const std::uint64_t* src = state_ + pos_;
+    for (std::size_t i = 0; i < take; ++i) out[i] = temper(src[i]);
+    pos_ += take;
+    out += take;
+    n -= take;
+  }
+}
+
 namespace {
-// Bit-exact inline of libstdc++'s generate_canonical<double, 53> over a
-// 64-bit engine (what uniform_real_distribution, exponential_distribution,
-// bernoulli_distribution and normal_distribution reduce to): the full
-// 64-bit draw is converted to double (round-to-nearest) and scaled by
-// 2^-64; draws within 2^10 of the top round up to exactly 1.0 and are
-// clamped to nextafter(1, 0).  Equality with the std path is enforced by
-// stats_test (RngFastPathExact).
-//
-// The conversion is split in two halves: without AVX-512, a plain
-// uint64 -> double cast is a branch on the sign bit.  Each half converts
-// exactly (< 2^32, and the scale is a power of two), so their sum is the
-// only rounding and gives the cast's bits.  The clamp's branch is taken
-// once in 2^54 draws, so it predicts.
-inline double canonical53(std::uint64_t raw) {
-  constexpr double kBelowOne = 0x1.fffffffffffffp-1;
-  const double hi = static_cast<double>(static_cast<std::uint32_t>(raw >> 32));
-  const double lo = static_cast<double>(static_cast<std::uint32_t>(raw));
-  const double u = (hi * 0x1.0p32 + lo) * 0x1.0p-64;
-  return u < kBelowOne ? u : kBelowOne;
+
+// libstdc++'s normal_distribution(0, 1) on a fresh object is Marsaglia's
+// polar method: x and y uniform on [-1, 1) from two draws, rejected
+// unless 0 < r2 = x^2 + y^2 <= 1.  The method yields two deviates; the
+// library would save x * mult for its next call, but a fresh distribution
+// per call never makes one, so it is not computed.
+inline double polar_coordinate(double u) { return 2.0 * u - 1.0; }
+inline double polar_r2(double x, double y) { return x * x + y * y; }
+inline bool polar_accepts(double r2) { return !((r2 > 1.0) | (r2 == 0.0)); }
+// `* 1.0 + 0.0` is the stddev and mean step; the + 0.0 turns the -0.0
+// that r2 == 1 can give into +0.0.
+inline double polar_finish(double y, double r2, double log_r2) {
+  return y * std::sqrt(-2 * log_r2 / r2) * 1.0 + 0.0;
 }
 }  // namespace
 
@@ -79,19 +86,44 @@ double Rng::pareto(double alpha, double xm) {
 }
 
 double Rng::normal() {
-  // libstdc++'s normal_distribution(0, 1) on a fresh object: Marsaglia's
-  // polar method in its exact expression order.  The method yields two
-  // deviates; the library would save x * mult for its next call, but a
-  // fresh distribution per call never makes one, so it is not computed.
-  double x = 0.0, y = 0.0, r2 = 0.0;
+  double y = 0.0, r2 = 0.0;
   do {
-    x = 2.0 * uniform01() - 1.0;
-    y = 2.0 * uniform01() - 1.0;
-    r2 = x * x + y * y;
-  } while (r2 > 1.0 || r2 == 0.0);
-  // `* 1.0 + 0.0` is the stddev and mean step; the + 0.0 turns the -0.0
-  // that r2 == 1 can give into +0.0.
-  return y * std::sqrt(-2 * std::log(r2) / r2) * 1.0 + 0.0;
+    const double x = polar_coordinate(uniform01());
+    y = polar_coordinate(uniform01());
+    r2 = polar_r2(x, y);
+  } while (!polar_accepts(r2));
+  return polar_finish(y, r2, std::log(r2));
+}
+
+void Rng::normals(double* out, std::size_t n) {
+  // Each deviate consumes at least one pair of words, so a round that
+  // draws 2 * min(kPairs, n) words never draws past the last word the n
+  // calls would take: if every pair is accepted the round ends exactly on
+  // a deviate, and otherwise its trailing rejected pairs are the ones the
+  // next call would reject too.
+  constexpr std::size_t kPairs = 128;
+  std::uint64_t words[2 * kPairs];
+  double xs[kPairs], ys[kPairs], r2s[kPairs];
+  while (n > 0) {
+    const std::size_t pairs = std::min(kPairs, n);
+    engine_.fill(words, 2 * pairs);
+    for (std::size_t i = 0; i < pairs; ++i) {
+      const double x = polar_coordinate(canonical53(words[2 * i]));
+      const double y = polar_coordinate(canonical53(words[2 * i + 1]));
+      xs[i] = y;
+      r2s[i] = polar_r2(x, y);
+    }
+    std::size_t got = 0;
+    for (std::size_t i = 0; i < pairs; ++i) {  // compact accepted pairs
+      const double r2 = r2s[i];
+      ys[got] = xs[i];
+      r2s[got] = r2;
+      got += polar_accepts(r2);
+    }
+    for (std::size_t i = 0; i < got; ++i) out[i] = polar_finish(ys[i], r2s[i], std::log(r2s[i]));
+    out += got;
+    n -= got;
+  }
 }
 
 bool Rng::bernoulli(double p) {

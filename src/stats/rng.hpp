@@ -13,6 +13,7 @@
 // experiment and golden digest is what it was when they were std types.
 #pragma once
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 
@@ -37,7 +38,19 @@ class Mt19937_64 {
 
   result_type operator()() {
     if (pos_ >= kN) twist();
-    std::uint64_t z = state_[pos_++];
+    return temper(state_[pos_++]);
+  }
+
+  /// Writes the next n words to out: exactly what n calls of operator()
+  /// return, leaving the engine in the same state.  Each state block is
+  /// tempered in one straight loop, which vectorizes.
+  void fill(result_type* out, std::size_t n);
+
+ private:
+  static constexpr std::size_t kN = 312;
+  static constexpr std::size_t kM = 156;
+
+  static std::uint64_t temper(std::uint64_t z) {
     z ^= (z >> 29) & 0x5555555555555555ULL;
     z ^= (z << 17) & 0x71d67fffeda60000ULL;
     z ^= (z << 37) & 0xfff7eee000000000ULL;
@@ -45,16 +58,41 @@ class Mt19937_64 {
     return z;
   }
 
- private:
-  static constexpr std::size_t kN = 312;
-  static constexpr std::size_t kM = 156;
-
   /// Regenerates all kN words and rewinds pos_.
   void twist();
 
   std::uint64_t state_[kN];
   std::size_t pos_ = kN;
 };
+
+/// Converts one 64-bit word to a double in [0, 1): bit-exact with
+/// libstdc++'s generate_canonical<double, 53> over a 64-bit engine (what
+/// uniform_real_distribution, exponential_distribution,
+/// bernoulli_distribution and normal_distribution reduce to).  That
+/// converts the word to double (round to nearest even), scales it by
+/// 2^-64, and clamps the 1.0 that words within 2^10 of the top round up
+/// to down to nextafter(1, 0).  stats_test (RngFastPathExact) pins the
+/// equality, on the rounding edges too.
+///
+/// Written without a branch, so a loop over words vectorizes:
+/// - the clamp moves to the word: a word >= 2^64 - 2^10 (its top 54 bits
+///   all ones, so (raw >> 10) + 1 carries into bit 54) is lowered by
+///   2^10, into [2^64 - 2^11, 2^64 - 2^10 - 1], all of which round to
+///   2^64 - 2^11, i.e. to nextafter(1, 0) once scaled; no other word
+///   changes;
+/// - the conversion is split in two exact halves, each 32-bit half placed
+///   in the low mantissa bits of a power of two which is then subtracted:
+///   2^20 + hi 2^-32 gives hi 2^-32, 2^-12 + lo 2^-64 gives lo 2^-64.  The
+///   halves' sum is the only rounding, and scaling by 2^-64 commutes with
+///   it, so the result has the bits of the scaled cast.  (A plain
+///   uint64 -> double cast is a branch on the sign bit without AVX-512.)
+inline double canonical53(std::uint64_t raw) {
+  raw -= (((raw >> 10) + 1) >> 54) << 10;
+  const double hi = std::bit_cast<double>(0x4130000000000000ULL | (raw >> 32)) - 0x1.0p20;
+  const double lo =
+      std::bit_cast<double>(0x3f30000000000000ULL | (raw & 0xffffffffULL)) - 0x1.0p-12;
+  return hi + lo;
+}
 
 /// A seedable pseudo-random generator with the distributions used across
 /// the library; copyable so generators can fork deterministic sub-streams
@@ -83,6 +121,12 @@ class Rng {
 
   /// Standard normal (mean 0, stddev 1).
   double normal();
+
+  /// Writes n standard normals to out: exactly what n calls of normal()
+  /// return, bit for bit, leaving the engine in the same state.  Faster
+  /// than the calls: words are drawn, converted and screened in batches,
+  /// and the accepted polar pairs finished in a second tight loop.
+  void normals(double* out, std::size_t n);
 
   /// Bernoulli trial with success probability p.
   bool bernoulli(double p);

@@ -169,6 +169,17 @@ TEST(Fft, NextPow2) {
   EXPECT_EQ(next_pow2(1000), 1024u);
 }
 
+// Past 2^63 no power of two fits in size_t: a structured error, not the
+// endless doubling loop a wrapped shift would give.
+TEST(Fft, NextPow2RejectsUnrepresentable) {
+  constexpr std::size_t top = std::size_t{1} << 63;
+  EXPECT_EQ(next_pow2(0), 1u);
+  EXPECT_EQ(next_pow2(top - 1), top);
+  EXPECT_EQ(next_pow2(top), top);
+  EXPECT_THROW(next_pow2(top + 1), std::length_error);
+  EXPECT_THROW(next_pow2(std::numeric_limits<std::size_t>::max()), std::length_error);
+}
+
 // ---------------------------------------------------------------- fGn ---
 
 TEST(Fgn, AutocovarianceAtLagZeroIsVariance) {
@@ -231,6 +242,18 @@ TEST(Fgn, RejectsBadParameters) {
                std::invalid_argument);
   EXPECT_THROW(generate_fgn(64, -std::numeric_limits<double>::infinity(), r),
                std::invalid_argument);
+}
+
+// Series whose circulant (2 * next_pow2(n) points) cannot be indexed by
+// size_t are refused before anything is allocated or drawn.
+TEST(Fgn, RejectsUnrepresentableLength) {
+  constexpr std::size_t top = std::size_t{1} << 63;
+  Rng r(3), ref(3);
+  EXPECT_THROW(generate_fgn((top >> 1) + 1, 0.8, r), std::length_error);
+  EXPECT_THROW(generate_fgn(top, 0.8, r), std::length_error);
+  EXPECT_THROW(generate_fgn(top + 1, 0.8, r), std::length_error);
+  EXPECT_THROW(generate_fgn(std::numeric_limits<std::size_t>::max(), 0.8, r), std::length_error);
+  EXPECT_EQ(r.engine()(), ref.engine()());  // no draws spent on the throws
 }
 
 // Digest of generate_fgn over a grid of sizes (including non-powers of

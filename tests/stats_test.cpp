@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <limits>
 #include <numeric>
 #include <optional>
 #include <random>
@@ -162,6 +163,77 @@ TEST(Rng, RngFastPathExact) {
   EXPECT_EQ(ref(), fast.engine()());  // engines advanced in lockstep
 }
 
+// canonical53 (the word -> [0, 1) conversion behind every draw) against
+// std::generate_canonical on the words where rounding decides: both
+// sides of each 32-bit half's boundary, of 2^53, of the sign bit, and
+// every word of the top 2^12, where the clamp to nextafter(1, 0) begins
+// (2^64 - 2^10 rounds up to 1.0, 2^64 - 2^10 - 1 down).
+TEST(Rng, Canonical53MatchesStdOnRoundingEdges) {
+  struct StubEngine {
+    using result_type = std::uint64_t;
+    static constexpr result_type min() { return 0; }
+    static constexpr result_type max() { return ~0ULL; }
+    std::uint64_t val = 0;
+    result_type operator()() { return val; }
+  };
+  std::vector<std::uint64_t> words = {0, 1, 1023, 1024, (1ULL << 32) - 1, 1ULL << 32,
+                                      (1ULL << 53) - 1, 1ULL << 53, (1ULL << 53) + 1,
+                                      (1ULL << 63) - 1, 1ULL << 63, (1ULL << 63) + 1,
+                                      0x7ffffffffffffc00ULL, 0x7ffffffffffffbffULL};
+  for (std::uint64_t k = 0; k < 4096; ++k) words.push_back(~0ULL - k);
+  for (std::uint64_t x : words) {
+    StubEngine e{x};
+    const double want = std::generate_canonical<double, 53>(e);
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(want), std::bit_cast<std::uint64_t>(canonical53(x)))
+        << "raw word " << x;
+  }
+}
+
+// Mt19937_64::fill must hand out the words operator() would, and leave
+// the engine where the calls would: from starts on both sides of the
+// 312-word twist, for lengths that end before, on and after it.
+TEST(Mt19937_64, FillMatchesCalls) {
+  for (std::size_t skip : {0, 1, 311, 312, 313, 623}) {
+    for (std::size_t n : {0, 1, 2, 311, 312, 313, 624, 1000, 5000}) {
+      Mt19937_64 batch(77), calls(77);
+      for (std::size_t i = 0; i < skip; ++i) {
+        batch();
+        calls();
+      }
+      std::vector<std::uint64_t> got(n + 1, 0);
+      batch.fill(got.data(), n);
+      EXPECT_EQ(got[n], 0u) << "fill wrote past n = " << n;
+      for (std::size_t i = 0; i < n; ++i)
+        ASSERT_EQ(got[i], calls()) << "skip " << skip << ", n " << n << ", word " << i;
+      EXPECT_EQ(batch(), calls()) << "skip " << skip << ", n " << n;
+    }
+  }
+}
+
+// Rng::normals must return normal()'s deviates bit for bit and leave the
+// engine in the same state, whatever the batch length and wherever the
+// batch starts relative to the engine's 312-word twist (an odd start puts
+// a polar pair across it).
+TEST(Rng, NormalsMatchScalar) {
+  for (std::size_t skip : {0, 1, 310, 311, 312, 313}) {
+    for (std::size_t n : {std::size_t{0}, std::size_t{1}, std::size_t{311}, std::size_t{312},
+                          std::size_t{313}, std::size_t{1023}, std::size_t{1} << 18}) {
+      Rng batch(2024), calls(2024);
+      for (std::size_t i = 0; i < skip; ++i) {
+        batch.engine()();
+        calls.engine()();
+      }
+      std::vector<double> got(n + 1, 7.0);
+      batch.normals(got.data(), n);
+      EXPECT_EQ(got[n], 7.0) << "normals wrote past n = " << n;
+      for (std::size_t i = 0; i < n; ++i)
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(got[i]), std::bit_cast<std::uint64_t>(calls.normal()))
+            << "skip " << skip << ", n " << n << ", deviate " << i;
+      EXPECT_EQ(batch.engine()(), calls.engine()()) << "skip " << skip << ", n " << n;
+    }
+  }
+}
+
 TEST(Rng, Uniform01InRange) {
   Rng r(1);
   for (int i = 0; i < 1000; ++i) {
@@ -276,6 +348,38 @@ TEST(Moments, QuantileInterpolates) {
 
 TEST(Moments, QuantileRejectsOutOfRange) {
   EXPECT_THROW(quantile({1.0, 2.0}, 1.5), std::invalid_argument);
+  EXPECT_THROW(quantile({1.0, 2.0}, -0.1), std::invalid_argument);
+  EXPECT_THROW(quantile({1.0, 2.0}, std::numeric_limits<double>::quiet_NaN()),
+               std::invalid_argument);
+  EXPECT_THROW(quantile({}, std::numeric_limits<double>::quiet_NaN()), std::invalid_argument);
+  EXPECT_DOUBLE_EQ(quantile({}, 0.5), 0.0);
+}
+
+// quantile selects its two order statistics instead of sorting; on
+// vectors full of duplicates (and of every length up to 64) the result
+// must be bit-identical to interpolating the sorted copy.
+TEST(Moments, QuantileMatchesSortedReference) {
+  auto reference = [](std::vector<double> xs, double q) {
+    std::sort(xs.begin(), xs.end());
+    double pos = q * static_cast<double>(xs.size() - 1);
+    std::size_t lo = static_cast<std::size_t>(pos);
+    std::size_t hi = std::min(lo + 1, xs.size() - 1);
+    double frac = pos - static_cast<double>(lo);
+    return xs[lo] * (1.0 - frac) + xs[hi] * frac;
+  };
+  Rng r(404);
+  for (std::size_t n = 1; n <= 64; ++n) {
+    for (int trial = 0; trial < 20; ++trial) {
+      std::vector<double> xs(n);
+      for (double& x : xs)  // few distinct values, so most are repeated
+        x = trial % 2 ? static_cast<double>(r.uniform_int(0, 4)) : std::floor(4 * r.normal()) / 4;
+      for (double q : {0.0, 0.05, 0.25, 1.0 / 3.0, 0.5, 0.9, 0.95, 1.0, r.uniform01()}) {
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(quantile(xs, q)),
+                  std::bit_cast<std::uint64_t>(reference(xs, q)))
+            << "n " << n << ", q " << q;
+      }
+    }
+  }
 }
 
 TEST(Moments, RelativeError) {
@@ -427,6 +531,37 @@ TEST(Trend, BurstAtEndDoesNotFoolTrend) {
   std::vector<double> owds(150, 0.004);
   for (int i = 0; i < 10; ++i) owds.push_back(0.004 + 0.002 * (i + 1));
   EXPECT_NE(combined_trend(owds), Trend::kIncreasing);
+}
+
+// combined_trend builds the group medians once for both tests; it must
+// still apply Pathload's rule to exactly what pct_trend and pdt_trend
+// report, on flat, noisy, trending and tiny series.
+TEST(Trend, CombinedFollowsPctAndPdt) {
+  auto rule = [](Trend a, Trend b) {
+    if (a == b) return a;
+    if (a == Trend::kAmbiguous) return b;
+    if (b == Trend::kAmbiguous) return a;
+    return Trend::kAmbiguous;
+  };
+  TrendConfig loose;
+  loose.min_range_seconds = 0.0;
+  loose.min_range_mad_factor = 0.2;
+  Rng r(505);
+  int decisive = 0;
+  for (int trial = 0; trial < 400; ++trial) {
+    const std::size_t n = static_cast<std::size_t>(r.uniform_int(0, 160));
+    const double slope = 1e-6 * static_cast<double>(r.uniform_int(-20, 20));
+    const double noise = trial % 3 ? 1e-4 * r.uniform01() : 0.0;
+    std::vector<double> owds;
+    for (std::size_t i = 0; i < n; ++i)
+      owds.push_back(0.004 + slope * static_cast<double>(i) + noise * r.normal());
+    for (const TrendConfig& cfg : {TrendConfig{}, loose}) {
+      const Trend want = rule(pct_trend(owds, cfg), pdt_trend(owds, cfg));
+      ASSERT_EQ(combined_trend(owds, cfg), want) << "trial " << trial;
+      decisive += want != Trend::kNonIncreasing;
+    }
+  }
+  EXPECT_GT(decisive, 100);  // the sweep reaches the statistics, not only the floor
 }
 
 TEST(Trend, PctStatisticBounds) {

@@ -3,6 +3,8 @@
 // trace.
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "sim/path.hpp"
 #include "sim/simulator.hpp"
 #include "stats/hurst.hpp"
@@ -150,6 +152,14 @@ TEST(AvailBwProcess, VariationRangeOrdered) {
   EXPECT_LT(lo, hi);
   EXPECT_GT(lo, 0.0);
   EXPECT_LT(hi, cfg.capacity_bps);
+}
+
+TEST(AvailBwProcess, VariationRangeRejectsNanQuantile) {
+  auto tr = make_uniform_trace(50e6, 20e6, kSecond);
+  trace::AvailBwProcess proc(tr);
+  EXPECT_THROW(proc.variation_range(10 * kMillisecond,
+                                    std::numeric_limits<double>::quiet_NaN()),
+               std::invalid_argument);
 }
 
 TEST(AvailBwProcess, RejectsTinyTrace) {

@@ -50,6 +50,7 @@ void BM_RngNormals(benchmark::State& state) {
   for (auto _ : state) {
     rng.normals(out.data(), out.size());
     benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }

@@ -79,13 +79,12 @@ void stage(double* d, std::size_t n, std::size_t len, std::size_t k0,
   }
 }
 
-// The quads k = 0 .. half - 1 of one group of stages len and 2 len = 4
-// half: a0[k], a1[k] = a0[k + half], a2[k] = a0[k + 2 half] and
-// a3[k] = a0[k + 3 half] are closed under the two stages, so their four
-// butterflies run back to back, in stage order, each on the operands and
-// twiddle its stage gives it (stage len's twiddle k, stage 2 len's
-// twiddles k and half + k).  The four quarters never overlap, which
-// __restrict tells the vectorizer.
+// One group of the fused stages len = 2 half and 2 len: its quarters a0,
+// a1, a2, a3 hold half values each.  Quad k (value k of each quarter) is
+// closed under the two stages, so its four butterflies run back to back,
+// in stage order, each on the operands and twiddle its stage gives it
+// (stage len's twiddle k, stage 2 len's twiddles k and half + k).  The
+// quarters never overlap, which __restrict tells the vectorizer.
 void quads(double* __restrict a0, double* __restrict a1, double* __restrict a2,
            double* __restrict a3, const double* __restrict c,
            const double* __restrict s, std::size_t half) {

@@ -71,27 +71,27 @@ class Mt19937_64 {
 /// bernoulli_distribution and normal_distribution reduce to).  That
 /// converts the word to double (round to nearest even), scales it by
 /// 2^-64, and clamps the 1.0 that words within 2^10 of the top round up
-/// to down to nextafter(1, 0).  stats_test (RngFastPathExact) pins the
-/// equality, on the rounding edges too.
+/// to down to nextafter(1, 0).  stats_test pins the equality on the
+/// rounding edges (Rng.Canonical53MatchesStdOnRoundingEdges) and along
+/// real streams (Rng.RngFastPathExact).
 ///
-/// Written without a branch, so a loop over words vectorizes:
-/// - the clamp moves to the word: a word >= 2^64 - 2^10 (its top 54 bits
-///   all ones, so (raw >> 10) + 1 carries into bit 54) is lowered by
-///   2^10, into [2^64 - 2^11, 2^64 - 2^10 - 1], all of which round to
-///   2^64 - 2^11, i.e. to nextafter(1, 0) once scaled; no other word
-///   changes;
-/// - the conversion is split in two exact halves, each 32-bit half placed
-///   in the low mantissa bits of a power of two which is then subtracted:
-///   2^20 + hi 2^-32 gives hi 2^-32, 2^-12 + lo 2^-64 gives lo 2^-64.  The
-///   halves' sum is the only rounding, and scaling by 2^-64 commutes with
-///   it, so the result has the bits of the scaled cast.  (A plain
-///   uint64 -> double cast is a branch on the sign bit without AVX-512.)
+/// The conversion is split in two exact halves, each 32-bit half placed
+/// in the low mantissa bits of a power of two which is then subtracted:
+/// 2^20 + hi 2^-32 gives hi 2^-32, 2^-12 + lo 2^-64 gives lo 2^-64.  The
+/// halves' sum is the only rounding, and scaling by 2^-64 commutes with
+/// it, so the result has the bits of the scaled cast.  A plain
+/// uint64 -> double cast is a branch on the sign bit without AVX-512;
+/// this is straight-line integer and double arithmetic, so a loop that
+/// converts a block of words (Rng::normals) vectorizes.  The clamp is
+/// taken once in 2^54 words: a branch that predicts in scalar code, a
+/// select in vector code.
 inline double canonical53(std::uint64_t raw) {
-  raw -= (((raw >> 10) + 1) >> 54) << 10;
+  constexpr double kBelowOne = 0x1.fffffffffffffp-1;
   const double hi = std::bit_cast<double>(0x4130000000000000ULL | (raw >> 32)) - 0x1.0p20;
   const double lo =
       std::bit_cast<double>(0x3f30000000000000ULL | (raw & 0xffffffffULL)) - 0x1.0p-12;
-  return hi + lo;
+  const double u = hi + lo;
+  return u < kBelowOne ? u : kBelowOne;
 }
 
 /// A seedable pseudo-random generator with the distributions used across

@@ -78,6 +78,16 @@ TEST(Rng, EngineMatchesStdMt19937_64) {
   }
 }
 
+// An engine with mt19937_64's range that returns one chosen word, so the
+// std reference can be driven through the words where rounding decides.
+struct StubEngine {
+  using result_type = std::uint64_t;
+  static constexpr result_type min() { return 0; }
+  static constexpr result_type max() { return ~0ULL; }
+  std::uint64_t val = 0;
+  result_type operator()() { return val; }
+};
+
 // The hand-written distributions must be bit-identical to the
 // std::distribution formulations they replaced: every golden digest and
 // seeded experiment depends on the exact draw sequence.
@@ -87,13 +97,6 @@ TEST(Rng, RngFastPathExact) {
   // 64-bit value converts up to exactly 2^64, and the values where the
   // split conversion (high and low 32 bits converted apart, then summed)
   // must round exactly as the single cast does.
-  struct StubEngine {
-    using result_type = std::uint64_t;
-    static constexpr result_type min() { return 0; }
-    static constexpr result_type max() { return ~0ULL; }
-    std::uint64_t val = 0;
-    result_type operator()() { return val; }
-  };
   const std::uint64_t edges[] = {
       0,                     1,
       1023,                  1024,
@@ -169,13 +172,6 @@ TEST(Rng, RngFastPathExact) {
 // every word of the top 2^12, where the clamp to nextafter(1, 0) begins
 // (2^64 - 2^10 rounds up to 1.0, 2^64 - 2^10 - 1 down).
 TEST(Rng, Canonical53MatchesStdOnRoundingEdges) {
-  struct StubEngine {
-    using result_type = std::uint64_t;
-    static constexpr result_type min() { return 0; }
-    static constexpr result_type max() { return ~0ULL; }
-    std::uint64_t val = 0;
-    result_type operator()() { return val; }
-  };
   std::vector<std::uint64_t> words = {0, 1, 1023, 1024, (1ULL << 32) - 1, 1ULL << 32,
                                       (1ULL << 53) - 1, 1ULL << 53, (1ULL << 53) + 1,
                                       (1ULL << 63) - 1, 1ULL << 63, (1ULL << 63) + 1,
